@@ -25,7 +25,7 @@
  * A fourth, many-function *batch* section times the ForecastPool's
  * SoA block engine against a fleet of scalar FftPredictor instances:
  * ns/forecast and forecasts/sec for scalar vs pool-exact
- * (bit-identical mode) vs pool-fast (rotation-recurrence trig,
+ * (bit-identical mode) vs pool-fast (rotation-recurrence horizon,
  * <= 1e-9), at --batch-functions scale (default 10000, accepted up to
  * 1M synthetic histories).
  *

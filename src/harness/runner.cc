@@ -1,11 +1,19 @@
 #include "harness/runner.hh"
 
-#include <atomic>
-#include <thread>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
+#include <map>
+#include <thread>
+#include <utility>
+
+#include "common/executor.hh"
 #include "common/logging.hh"
 #include "harness/observe.hh"
 #include "harness/registry.hh"
+#include "sim/simulator.hh"
+#include "sim/trace_source.hh"
 
 namespace iceb::harness
 {
@@ -56,48 +64,54 @@ ExperimentRunner::run(const std::vector<RunSpec> &grid) const
     const obs::ObsConfig obs_config =
         observe ? observation_->runConfig() : obs::ObsConfig{};
 
-    std::atomic<std::size_t> next{0};
-
-    const auto worker = [&grid, &results, &next, &registry, &recorders,
-                         &obs_config, observe] {
-        while (true) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= grid.size())
-                return;
-            const RunSpec &spec = grid[i];
-            const std::unique_ptr<sim::Policy> policy =
-                registry.make(spec.scheme);
-            sim::SimulatorOptions options = sim::SimulatorOptions::forRun(
-                spec.base_seed, spec.run_index);
-            options.shards = spec.shards;
-            options.max_cells = spec.max_cells;
-            if (observe) {
-                recorders[i] =
-                    std::make_unique<obs::RunRecorder>(obs_config);
-                options.recorder = recorders[i].get();
-            }
-            results[i].spec = spec;
-            results[i].metrics = sim::runSimulation(
-                spec.workload->trace, spec.workload->profiles,
-                spec.cluster, *policy, options);
+    // Runs of one workload at one seed replay the same arrival stream:
+    // build each such source once, before any worker starts, and share
+    // it. A materialized source serves immutable slices of its stream
+    // (beginRun() is a no-op), so concurrent runs only read it.
+    std::map<std::pair<const Workload *, std::uint64_t>,
+             std::unique_ptr<sim::MaterializedTraceSource>>
+        sources;
+    std::vector<sim::TraceSource *> source_of(grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const RunSpec &spec = grid[i];
+        const std::uint64_t seed =
+            sim::SimulatorOptions::forRun(spec.base_seed, spec.run_index)
+                .seed;
+        auto &source = sources[{spec.workload, seed}];
+        if (source == nullptr) {
+            source = std::make_unique<sim::MaterializedTraceSource>(
+                spec.workload->trace, seed);
         }
-    };
-
-    const std::size_t workers = std::min(threads_, grid.size());
-    if (workers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t i = 0; i < workers; ++i)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
+        source_of[i] = source.get();
     }
+
+    const auto run_one = [&](std::size_t i) {
+        const RunSpec &spec = grid[i];
+        const std::unique_ptr<sim::Policy> policy =
+            registry.make(spec.scheme);
+        sim::SimulatorOptions options = sim::SimulatorOptions::forRun(
+            spec.base_seed, spec.run_index);
+        options.shards = spec.shards;
+        options.max_cells = spec.max_cells;
+        if (observe) {
+            recorders[i] = std::make_unique<obs::RunRecorder>(obs_config);
+            options.recorder = recorders[i].get();
+        }
+        results[i].spec = spec;
+        results[i].metrics =
+            sim::runSimulation(*source_of[i], spec.workload->profiles,
+                               spec.cluster, *policy, options);
+    };
+    TaskExecutor::shared().run(grid.size(), threads_, run_one);
+    sources.clear(); // before the trim below, which can then return it
 
     if (observe)
         writeObservations(*observation_, results, recorders);
+#if defined(__GLIBC__)
+    // The runs' freed memory stays resident in the workers' malloc
+    // arenas; hand it back so repeated grids do not ratchet the RSS.
+    malloc_trim(0);
+#endif
     return results;
 }
 

@@ -98,13 +98,11 @@ struct HarmonicsWorkspace
     std::vector<double> magnitude;       //!< |X_k| for k = 0..n/2
     std::vector<SpectralPeak> peaks;
     std::vector<double> frequencies;
+    std::vector<Complex> step;           //!< e^{i w} per frequency
+    std::vector<Complex> span;           //!< e^{i n w} per frequency
+    std::vector<Complex> rotor;          //!< e^{i w t} during the X^T y pass
     std::vector<double> xtx;             //!< terms x terms, row-major
-    std::vector<double> xty;
-    std::vector<double> row;
-    std::vector<double> aug;             //!< augmented solver system
-    std::vector<double> coeffs;
-    std::vector<Complex> rot_state;      //!< fast-trig row evaluation
-    std::vector<Complex> rot_step;
+    std::vector<double> xty;             //!< X^T y, solved in place
 };
 
 /**
@@ -124,16 +122,21 @@ void decomposeForExtrapolation(const double *series, std::size_t n,
  * incrementally maintained SlidingDft spectrum. Requires n >= 8 and
  * max_components >= 1.
  *
- * With @p fast_trig the least-squares design rows are generated by
- * complex rotation recurrences instead of per-sample cos/sin. That is
- * ~1 ulp/sample less accurate (well within the incremental mode's
- * 1e-6 agreement contract) but substantially faster; the default
- * false keeps the arithmetic bit-identical to the original code.
+ * The least-squares fit never forms the n x 2m design matrix. Over a
+ * contiguous window every normal-matrix entry is built from Dirichlet
+ * sums sum_{t<n} e^{i a t} = (e^{i n a} - 1) / (e^{i a} - 1) at
+ * a = w_i +- w_j, so the matrix costs 4m cos/sin calls and O(m^2)
+ * complex arithmetic; X^T y costs one rotation recurrence per
+ * frequency; the 2m x 2m system, with a 1e-9 ridge, is solved by
+ * Cholesky. A numerically singular system falls back to decompose().
+ *
+ * @p fast_trig is accepted for source compatibility and ignored:
+ * there is one fit, so exact and fast callers get the same harmonics.
  */
 void decomposeFromMagnitudes(const double *series, std::size_t n,
                              std::size_t max_components,
                              std::vector<Harmonic> &out,
-                             HarmonicsWorkspace &ws, bool fast_trig);
+                             HarmonicsWorkspace &ws, bool fast_trig = false);
 
 } // namespace iceb::math
 

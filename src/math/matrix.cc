@@ -160,6 +160,46 @@ solveLinearSystem(const Matrix &a, const std::vector<double> &b,
     return x;
 }
 
+bool
+solveSpdInPlace(double *a, std::size_t n, double *b)
+{
+    // Cholesky-Banachiewicz, row by row: L[j][j] from the row's own
+    // entries, then column j of every later row.
+    for (std::size_t j = 0; j < n; ++j) {
+        double *row_j = a + j * n;
+        double pivot = row_j[j];
+        for (std::size_t k = 0; k < j; ++k)
+            pivot -= row_j[k] * row_j[k];
+        if (!(pivot > 1e-12))
+            return false;
+        const double diag = std::sqrt(pivot);
+        row_j[j] = diag;
+        for (std::size_t i = j + 1; i < n; ++i) {
+            double *row_i = a + i * n;
+            double acc = row_i[j];
+            for (std::size_t k = 0; k < j; ++k)
+                acc -= row_i[k] * row_j[k];
+            row_i[j] = acc / diag;
+        }
+    }
+
+    // Forward substitution L z = b, then back substitution L^T x = z.
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *row_i = a + i * n;
+        double acc = b[i];
+        for (std::size_t k = 0; k < i; ++k)
+            acc -= row_i[k] * b[k];
+        b[i] = acc / row_i[i];
+    }
+    for (std::size_t i = n; i-- > 0;) {
+        double acc = b[i];
+        for (std::size_t k = i + 1; k < n; ++k)
+            acc -= a[k * n + i] * b[k];
+        b[i] = acc / a[i * n + i];
+    }
+    return true;
+}
+
 void
 FactoredSystem::factor(const double *a, std::size_t n)
 {

@@ -83,6 +83,17 @@ void solveLinearSystemInPlace(std::vector<double> &aug, std::size_t n,
                               bool *singular = nullptr);
 
 /**
+ * Solve the symmetric positive definite system A x = b in place by
+ * Cholesky factorisation (A = L L^T). @p a holds n x n values
+ * row-major; only its lower triangle is read, and it is overwritten
+ * with L. @p b is overwritten with x. Returns false, with @p a and
+ * @p b clobbered, when a pivot is not above 1e-12 -- the tolerance
+ * solveLinearSystemInPlace applies to its pivots -- i.e. when A is
+ * numerically singular or not positive definite.
+ */
+bool solveSpdInPlace(double *a, std::size_t n, double *b);
+
+/**
  * Record/replay Gaussian elimination for solving one matrix against
  * many right-hand sides.
  *

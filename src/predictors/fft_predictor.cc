@@ -100,7 +100,7 @@ FftPredictor::forecastHorizon(std::size_t horizon, std::vector<double> &out)
         incrementalMagnitudes();
         math::decomposeFromMagnitudes(residual_.data(), n,
                                       config_.harmonics, harmonics_,
-                                      harm_ws_, /*fast_trig=*/true);
+                                      harm_ws_);
     } else {
         math::decomposeForExtrapolation(residual_.data(), n,
                                         config_.harmonics, harmonics_,

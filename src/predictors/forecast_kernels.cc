@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "math/harmonics_impl.hh"
 
 namespace iceb::predictors::kernels
 {
@@ -330,18 +329,9 @@ forecastBlock(const BlockContext &ctx, const bool *active,
         double *series = scratch.lane_series.data();
         for (std::size_t i = 0; i < n; ++i)
             series[i] = resid[i * L + l];
-        if (ctx.fast_trig) {
-            // Local SIMD instantiation with rotation-recurrence rows.
-            math::detail::decomposeFromMagnitudesImpl(
-                series, n, ctx.harmonics, scratch.harm, scratch.hws,
-                /*fast_trig=*/true);
-        } else {
-            // Exact mode routes through the same baseline-compiled
-            // function the scalar predictor calls.
-            math::decomposeFromMagnitudes(series, n, ctx.harmonics,
-                                          scratch.harm, scratch.hws,
-                                          /*fast_trig=*/false);
-        }
+        // Both modes run the fit the scalar predictor runs.
+        math::decomposeFromMagnitudes(series, n, ctx.harmonics,
+                                      scratch.harm, scratch.hws);
 
         double *rhs = scratch.lane_rhs.data();
         for (std::size_t k = 0; k < terms; ++k)

@@ -19,15 +19,14 @@
  *    FftPlan::forwardReal from the plan's own tables, with complex
  *    arithmetic written out in the operand order std::complex lowers
  *    to;
- *  - the harmonic fit calls the same decomposeFromMagnitudes
- *    implementation the scalar predictor uses.
+ *  - the harmonic fit calls math::decomposeFromMagnitudes, the same
+ *    compiled function the scalar predictor calls.
  *
  * In the default exact mode the result is therefore bit-identical to
  * FftPredictor::forecastHorizon (enforced by test). The opt-in fast
- * mode swaps per-sample cos/sin for complex-rotation recurrences in
- * the harmonic fit and the horizon evaluation (~1 ulp/sample, well
- * inside the 1e-9 agreement budget) and is the batch bench's
- * headline configuration.
+ * mode evaluates the horizon with complex-rotation recurrences
+ * instead of one cos per (harmonic, step) (~1 ulp/step, well inside
+ * the 1e-9 agreement budget); the fit is the same in both modes.
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_KERNELS_HH
@@ -61,7 +60,7 @@ struct BlockContext
     const math::SeriesPowerTable *powers = nullptr;
     /** Factored normal matrix, replayed per lane. */
     const math::FactoredSystem *trend_system = nullptr;
-    /** Fast mode: rotation-recurrence trig (<= 1e-9 divergence). */
+    /** Fast mode: rotation-recurrence horizon (<= 1e-9 divergence). */
     bool fast_trig = false;
 };
 

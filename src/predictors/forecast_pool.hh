@@ -20,9 +20,9 @@
  *    lanes (warm-up, short windows, silent windows,
  *    incremental-spectrum configs) take a scalar path that mirrors
  *    the predictor directly;
- *  - fast mode (ForecastPoolOptions::fast_path) swaps the harmonic
- *    fit and horizon trig for rotation recurrences, staying within
- *    1e-9 of the scalar forecast while roughly halving its cost.
+ *  - fast mode (ForecastPoolOptions::fast_path) evaluates the horizon
+ *    by rotation recurrences, staying within 1e-9 of the scalar
+ *    forecast; the harmonic fit is the same in both modes.
  *
  * Steady-state forecasting performs no heap allocations; the pool
  * allocates only when functions are added or a longer horizon is
@@ -47,9 +47,8 @@ struct ForecastPoolOptions
 {
     /**
      * Opt-in fast arithmetic: rotation-recurrence trig in the
-     * harmonic fit and horizon evaluation. Diverges from the scalar
-     * path by <= 1e-9 per forecast value; the default false is
-     * bit-identical.
+     * horizon evaluation. Diverges from the scalar path by <= 1e-9
+     * per forecast value; the default false is bit-identical.
      */
     bool fast_path = false;
 

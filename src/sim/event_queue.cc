@@ -203,6 +203,18 @@ EventQueue::ensureNear()
             for (const Entry &entry : bucket)
                 run_[counts[entry.time - base]++] = entry;
             bucket.clear();
+            // Kept buffers would each hold the largest burst their
+            // bucket ever saw, and over a long run most of the wheel
+            // sees one (fig6's IceBreaker run grew ~10 MB of idle
+            // buckets). Free a buffer more than 4x the recent mean
+            // bucket load, so a burst's memory goes once it drains
+            // while a steady load keeps reusing its buffers.
+            drain_mean_ += (static_cast<double>(n) - drain_mean_) / 256.0;
+            if (static_cast<double>(bucket.capacity()) >
+                std::max(static_cast<double>(bucket_keep_),
+                         4.0 * drain_mean_)) {
+                std::vector<Entry>().swap(bucket);
+            }
             run_pos_ = 0;
             run_len_ = n;
         }

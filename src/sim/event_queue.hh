@@ -48,6 +48,7 @@
 #ifndef ICEB_SIM_EVENT_QUEUE_HH
 #define ICEB_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -145,6 +146,7 @@ class EventQueue
             for (auto &bucket : buckets_)
                 bucket.reserve(per_bucket);
         }
+        bucket_keep_ = std::max(kKeepBucket, per_bucket);
     }
 
     /** Pending event count. */
@@ -165,6 +167,9 @@ class EventQueue
     static constexpr std::size_t kNumBuckets = 2048;
     static constexpr std::int64_t kBucketMask =
         static_cast<std::int64_t>(kNumBuckets) - 1;
+    /** Entries a drained bucket always keeps capacity for, so sparse
+     * queues do not churn small buffers. */
+    static constexpr std::size_t kKeepBucket = 32;
 
     struct ExpiryPayload
     {
@@ -245,6 +250,12 @@ class EventQueue
     std::size_t size_ = 0;
     std::size_t peak_size_ = 0;
     std::size_t peak_bucket_ = 0;
+    /** A drained bucket may always keep this much capacity (reserve()
+     * raises it to the per-bucket hint, so hinted runs never free). */
+    std::size_t bucket_keep_ = kKeepBucket;
+    /** Moving average (over ~256 drains) of entries per drained
+     * bucket; a drained bucket also keeps up to 4x this. */
+    double drain_mean_ = 0.0;
 };
 
 } // namespace iceb::sim

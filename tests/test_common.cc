@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests for the common substrate: units, CSV, table printing,
- * logging levels and core types.
+ * logging levels, core types and the task executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/csv.hh"
+#include "common/executor.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/table.hh"
 #include "common/types.hh"
 #include "common/units.hh"
@@ -198,6 +204,87 @@ TEST(LoggingDeathTest, FatalExits)
 TEST(LoggingDeathTest, AssertAbortsOnFalse)
 {
     EXPECT_DEATH(ICEB_ASSERT(false, "broken"), "assertion failed");
+}
+
+// -------------------------------------------------------------- Executor
+
+TEST(TaskExecutorTest, ResultsIndependentOfWorkerCount)
+{
+    const auto run = [](std::size_t workers) {
+        std::vector<std::uint64_t> out(37);
+        TaskExecutor::shared().run(out.size(), workers, [&](std::size_t i) {
+            std::uint64_t state = i;
+            for (int step = 0; step < 1000; ++step)
+                splitMix64(state);
+            out[i] = splitMix64(state);
+        });
+        return out;
+    };
+    const std::vector<std::uint64_t> one = run(1);
+    EXPECT_EQ(run(2), one);
+    EXPECT_EQ(run(4), one);
+}
+
+TEST(TaskExecutorTest, TaskIRunsOnWorkerIModT)
+{
+    const std::size_t workers = 3;
+    const auto threads_of = [&] {
+        std::vector<std::thread::id> ids(10);
+        TaskExecutor::shared().run(ids.size(), workers, [&](std::size_t i) {
+            ids[i] = std::this_thread::get_id();
+        });
+        return ids;
+    };
+    const std::vector<std::thread::id> first = threads_of();
+    for (std::size_t i = 0; i < first.size(); ++i)
+        EXPECT_EQ(first[i], first[i % workers]) << "task " << i;
+    for (std::size_t a = 0; a < workers; ++a) {
+        EXPECT_NE(first[a], std::this_thread::get_id());
+        for (std::size_t b = a + 1; b < workers; ++b)
+            EXPECT_NE(first[a], first[b]);
+    }
+    // Workers persist: the next call replays on the same threads.
+    EXPECT_EQ(threads_of(), first);
+}
+
+TEST(TaskExecutorTest, TaskExceptionReachesCaller)
+{
+    std::vector<int> ran(8, 0);
+    EXPECT_THROW(TaskExecutor::shared().run(ran.size(), 4,
+                                            [&](std::size_t i) {
+                                                if (i == 5)
+                                                    throw std::runtime_error(
+                                                        "task failed");
+                                                ran[i] = 1;
+                                            }),
+                 std::runtime_error);
+    // Worker 1 stopped at task 5; every other task ran.
+    EXPECT_EQ(ran, (std::vector<int>{1, 1, 1, 1, 1, 0, 1, 1}));
+    // The executor stays usable.
+    TaskExecutor::shared().run(ran.size(), 4,
+                               [&](std::size_t i) { ran[i] = 2; });
+    EXPECT_EQ(ran, std::vector<int>(8, 2));
+}
+
+TEST(TaskExecutorTest, NestedCallRunsInline)
+{
+    const std::size_t outer = 4;
+    const std::size_t inner = 5;
+    std::vector<std::thread::id> outer_thread(outer);
+    std::vector<std::vector<std::thread::id>> inner_thread(outer);
+    std::vector<std::vector<std::size_t>> inner_order(outer);
+    TaskExecutor::shared().run(outer, 4, [&](std::size_t i) {
+        outer_thread[i] = std::this_thread::get_id();
+        TaskExecutor::shared().run(inner, 4, [&](std::size_t j) {
+            inner_thread[i].push_back(std::this_thread::get_id());
+            inner_order[i].push_back(j);
+        });
+    });
+    for (std::size_t i = 0; i < outer; ++i) {
+        EXPECT_EQ(inner_order[i], (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+        for (const std::thread::id id : inner_thread[i])
+            EXPECT_EQ(id, outer_thread[i]);
+    }
 }
 
 } // namespace
