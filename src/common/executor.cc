@@ -35,6 +35,7 @@ TaskExecutor::run(std::size_t count, std::size_t workers,
     const std::lock_guard<std::mutex> submit(submit_);
     std::unique_lock<std::mutex> lock(mutex_);
     while (threads_.size() < width) {
+        wake_.emplace_back();
         threads_.emplace_back(&TaskExecutor::workerLoop, this,
                               threads_.size(), generation_);
     }
@@ -43,7 +44,8 @@ TaskExecutor::run(std::size_t count, std::size_t workers,
     width_ = width;
     pending_ = width;
     ++generation_;
-    wake_.notify_all();
+    for (std::size_t i = 0; i < width; ++i)
+        wake_[i].notify_one();
     done_.wait(lock, [this] { return pending_ == 0; });
     task_ = nullptr;
     if (error_ != nullptr)
@@ -55,11 +57,14 @@ TaskExecutor::workerLoop(std::size_t index, std::uint64_t seen)
 {
     t_on_worker = true;
     std::unique_lock<std::mutex> lock(mutex_);
+    std::condition_variable &wake = wake_[index];
     while (true) {
-        wake_.wait(lock, [&] { return generation_ != seen; });
+        // Workers a narrower call leaves out sleep through it: waking
+        // them would only add mutex traffic to the call's critical
+        // path (serve-azure's 2-worker forecasts on a 4-worker pool).
+        wake.wait(lock,
+                  [&] { return generation_ != seen && index < width_; });
         seen = generation_;
-        if (index >= width_)
-            continue;
         const std::function<void(std::size_t)> &task = *task_;
         const std::size_t count = count_;
         const std::size_t width = width_;

@@ -9,7 +9,8 @@
  * threads start on first need and then park between calls for the
  * rest of the process, so a sequence of calls replays the same tasks
  * on the same threads -- and on the malloc arenas those threads have
- * already grown -- instead of spawning fresh threads per call.
+ * already grown -- instead of spawning fresh threads per call. A call
+ * wakes only its T workers; the others stay parked.
  *
  * Tasks write their results to caller-owned slots indexed by i; the
  * executor orders nothing but the assignment. A run() issued from
@@ -26,6 +27,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -66,7 +68,8 @@ class TaskExecutor
 
     std::mutex submit_; //!< held for a whole outside call
     std::mutex mutex_;  //!< guards everything below
-    std::condition_variable wake_;
+    /** One per worker, so a call wakes only its participants. */
+    std::deque<std::condition_variable> wake_;
     std::condition_variable done_;
     std::vector<std::thread> threads_;
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
+#include "common/executor.hh"
 #include "common/logging.hh"
 #include "math/stats.hh"
 
@@ -219,25 +219,16 @@ ForecastPool::forecastAll(std::size_t horizon)
         threads = 1;
     workers_.resize(std::max(workers_.size(), threads));
 
-    if (threads == 1) {
-        for (const BlockTask &task : tasks_)
-            runBlock(groups_[task.group], task, workers_[0]);
-        return;
-    }
-    // Fixed interleaved assignment: worker t takes tasks t, t+T,
-    // t+2T, ... Every lane's output region is disjoint, so the
-    // partition affects scheduling only, never values.
-    const auto worker_fn = [this, threads](std::size_t t) {
-        for (std::size_t i = t; i < tasks_.size(); i += threads)
-            runBlock(groups_[tasks_[i].group], tasks_[i], workers_[t]);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (std::size_t t = 1; t < threads; ++t)
-        pool.emplace_back(worker_fn, t);
-    worker_fn(0);
-    for (std::thread &th : pool)
-        th.join();
+    // The shared executor runs task i on worker i mod T, so scratch
+    // i mod T is private to whichever thread runs it (one thread, or
+    // a call from inside an executor task, runs every task inline).
+    // Every lane's output region is disjoint, so the partition affects
+    // scheduling only, never values.
+    TaskExecutor::shared().run(
+        tasks_.size(), threads, [this, threads](std::size_t i) {
+            runBlock(groups_[tasks_[i].group], tasks_[i],
+                     workers_[i % threads]);
+        });
 }
 
 const double *

@@ -7,10 +7,10 @@
  * configuration so one cached FftPlan (and one factored trend system)
  * drives block transforms over many functions at once. forecastAll()
  * forecasts kLanes functions per block through the SoA kernels in
- * forecast_kernels.cc, optionally thread-parallel: blocks are
- * assigned to workers by a fixed interleaving of a deterministic task
- * list and every lane's arithmetic is lane-local, so results are
- * byte-identical for any --threads value.
+ * forecast_kernels.cc, optionally thread-parallel on the shared
+ * TaskExecutor: blocks are assigned to workers by a fixed interleaving
+ * of a deterministic task list and every lane's arithmetic is
+ * lane-local, so results are byte-identical for any --threads value.
  *
  * Equivalence contract (enforced by tests):
  *
@@ -52,7 +52,10 @@ struct ForecastPoolOptions
      */
     bool fast_path = false;
 
-    /** Worker threads for forecastAll (1 = inline, deterministic). */
+    /**
+     * Executor workers for forecastAll (1 = inline). A call from
+     * inside an executor task runs inline whatever this says.
+     */
     std::size_t threads = 1;
 };
 

@@ -139,12 +139,17 @@ DecisionEngine::onIntervalStart(IntervalIndex interval,
     policy_->onIntervalStart(interval, recording);
 }
 
-void
+bool
 DecisionEngine::pushArrival(FunctionId fn, std::uint32_t count)
 {
-    ICEB_ASSERT(fn < observed_.size(),
-                "pushArrival for unknown function (initialize first)");
+    // observed_ is empty until initialize(), so one bounds check
+    // covers both an unknown id and an uninitialized engine.
+    if (fn >= observed_.size()) {
+        rejected_arrivals_ += count;
+        return false;
+    }
     observed_[fn] += count;
+    return true;
 }
 
 void

@@ -141,8 +141,17 @@ class DecisionEngine final : public sim::Policy
     // Standalone mode: the caller is the driver. No trace, no
     // simulator — just observations in, decisions out.
 
-    /** Record @p count arrivals of @p fn in the open interval. */
-    void pushArrival(FunctionId fn, std::uint32_t count = 1);
+    /**
+     * Record @p count arrivals of @p fn in the open interval. Returns
+     * false, records nothing and adds @p count to
+     * rejectedArrivals() when the engine is not initialized or @p fn
+     * is not one of its functions: this is external input, so bad
+     * values are refused rather than treated as a broken invariant.
+     */
+    bool pushArrival(FunctionId fn, std::uint32_t count = 1);
+
+    /** Arrivals pushArrival() has refused so far. */
+    std::uint64_t rejectedArrivals() const { return rejected_arrivals_; }
 
     /**
      * Close the open interval (pushing its arrival counts to the
@@ -176,6 +185,7 @@ class DecisionEngine final : public sim::Policy
     /** Standalone-mode state: open-interval counts and the counter. */
     std::vector<std::uint32_t> observed_;
     IntervalIndex next_interval_ = 0;
+    std::uint64_t rejected_arrivals_ = 0;
 };
 
 } // namespace iceb::serve

@@ -305,16 +305,10 @@ StreamingWorkloadSource::ingest(trace::FunctionRowSource &rows)
     if (metas_.empty())
         fatal("workload stream contained no functions");
 
-    const auto record_less = [](const SpillRecord &a,
-                                const SpillRecord &b) {
-        const std::uint64_t ka = majorKey(a.interval, a.fn);
-        const std::uint64_t kb = majorKey(b.interval, b.fn);
-        return ka < kb || (ka == kb && a.seq < b.seq);
-    };
     if (spill_ == nullptr) {
         // Everything fits one chunk: keep it as the single sorted
         // in-memory run and never touch the filesystem.
-        std::sort(chunk_.begin(), chunk_.end(), record_less);
+        sortChunk();
     } else {
         if (!chunk_.empty())
             spillChunk();
@@ -331,19 +325,35 @@ StreamingWorkloadSource::ingest(trace::FunctionRowSource &rows)
         if (n > max_interval_arrivals_)
             max_interval_arrivals_ = static_cast<std::size_t>(n);
     }
+    sort_scratch_.clear();
+    sort_scratch_.shrink_to_fit();
     block_.reserve(max_interval_arrivals_);
     block_scratch_.resize(max_interval_arrivals_);
 }
 
 void
+StreamingWorkloadSource::sortChunk()
+{
+    // Ingest pushes records function-major, intervals ascending within
+    // a function and seq ascending within a burst, so a chunk arrives
+    // in (fn, interval, seq) order and a STABLE sort on the interval
+    // alone yields the full (interval, fn, seq) key order: one O(n)
+    // counting pass into the scratch chunk.
+    std::vector<std::size_t> starts(num_intervals_ + 1, 0);
+    for (const SpillRecord &record : chunk_)
+        ++starts[record.interval + 1];
+    for (std::size_t iv = 0; iv < num_intervals_; ++iv)
+        starts[iv + 1] += starts[iv];
+    sort_scratch_.resize(chunk_.size());
+    for (const SpillRecord &record : chunk_)
+        sort_scratch_[starts[record.interval]++] = record;
+    chunk_.swap(sort_scratch_);
+}
+
+void
 StreamingWorkloadSource::spillChunk()
 {
-    std::sort(chunk_.begin(), chunk_.end(),
-              [](const SpillRecord &a, const SpillRecord &b) {
-                  const std::uint64_t ka = majorKey(a.interval, a.fn);
-                  const std::uint64_t kb = majorKey(b.interval, b.fn);
-                  return ka < kb || (ka == kb && a.seq < b.seq);
-              });
+    sortChunk();
     if (spill_ == nullptr) {
         spill_ = std::tmpfile();
         if (spill_ == nullptr)

@@ -178,8 +178,9 @@ struct StreamingSourceOptions
 
     /**
      * Arrival records per sort chunk (16 bytes each). A full chunk is
-     * sorted and spilled to the temp file; this bounds ingest-side
-     * memory at chunk_records * 16 bytes regardless of trace size.
+     * counting-sorted into a scratch chunk and spilled to the temp
+     * file; this bounds ingest-side memory at the chunk plus its sort
+     * scratch, 2 * chunk_records * 16 bytes, regardless of trace size.
      */
     std::size_t chunk_records = std::size_t{1} << 22; // 64 MiB
 
@@ -259,6 +260,7 @@ class StreamingWorkloadSource final : public TraceSource
     };
 
     void ingest(trace::FunctionRowSource &rows);
+    void sortChunk();
     void spillChunk();
     void refill(Run &run);
     bool advanceRun(std::size_t run_index);
@@ -276,6 +278,8 @@ class StreamingWorkloadSource final : public TraceSource
 
     /** Ingest chunk; in in-memory mode it stays as the single run. */
     std::vector<SpillRecord> chunk_;
+    /** sortChunk()'s output, swapped with chunk_; freed after ingest. */
+    std::vector<SpillRecord> sort_scratch_;
     std::FILE *spill_ = nullptr;
     std::uint64_t spilled_records_ = 0;
     std::uint64_t spilled_bytes_ = 0;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
 
+#include "common/executor.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -66,19 +69,60 @@ SyntheticTraceGenerator::classPlan(Rng &master) const
     return classes;
 }
 
+std::size_t
+SyntheticTraceGenerator::batchFunctions() const
+{
+    return std::max<std::size_t>(
+        1, kBatchCounts / std::max<std::size_t>(1, config_.num_intervals));
+}
+
+SyntheticTraceGenerator::Cursor
+SyntheticTraceGenerator::startCursor() const
+{
+    Cursor cursor{Rng(config_.seed), {}, {}, 0};
+    cursor.classes = classPlan(cursor.master);
+    return cursor;
+}
+
+bool
+SyntheticTraceGenerator::nextBatch(Cursor &cursor,
+                                   std::vector<FunctionSeries> &batch) const
+{
+    const std::size_t first = cursor.next_fn;
+    if (first >= config_.num_functions)
+        return false;
+    const std::size_t count =
+        std::min(batchFunctions(), config_.num_functions - first);
+
+    // The class-plan shuffle forked (and thereby advanced) the master
+    // stream once; every function then forks it in id order, so the
+    // forks are drawn here, serially, before any series is filled.
+    cursor.forks.resize(count);
+    batch.resize(count);
+    for (std::size_t k = 0; k < count; ++k) {
+        cursor.forks[k] = cursor.master.fork(first + k + 1);
+        batch[k].name = "fn-" + std::to_string(first + k);
+        batch[k].concurrency.resize(config_.num_intervals);
+    }
+    const std::size_t workers =
+        std::max(1u, std::thread::hardware_concurrency());
+    TaskExecutor::shared().run(count, workers, [&](std::size_t k) {
+        makeSeriesInto(cursor.classes[first + k], cursor.forks[k],
+                       batch[k]);
+    });
+    cursor.next_fn = first + count;
+    return true;
+}
+
 Trace
 SyntheticTraceGenerator::generate() const
 {
     Trace trace(config_.num_intervals, config_.interval_ms);
-    Rng master(config_.seed);
-
-    const std::size_t n = config_.num_functions;
-    const std::vector<FunctionClass> classes = classPlan(master);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        FunctionSeries series = makeSeries(classes[i], master.fork(i + 1));
-        series.name = "fn-" + std::to_string(i);
-        trace.addFunction(std::move(series));
+    Cursor cursor = startCursor();
+    std::vector<FunctionSeries> batch;
+    while (nextBatch(cursor, batch)) {
+        for (FunctionSeries &series : batch)
+            trace.addFunction(std::move(series));
     }
     return trace;
 }
@@ -88,8 +132,10 @@ SyntheticTraceGenerator::generateSeries(FunctionClass cls,
                                         std::uint64_t stream_id) const
 {
     Rng master(config_.seed);
-    FunctionSeries series = makeSeries(cls, master.fork(stream_id));
+    FunctionSeries series;
     series.name = std::string("single-") + functionClassName(cls);
+    series.concurrency.resize(config_.num_intervals);
+    makeSeriesInto(cls, master.fork(stream_id), series);
     return series;
 }
 
@@ -129,13 +175,15 @@ evaluateBurstTrain(const BurstTrain &train, double t)
     return train.amplitude * shape * modulation;
 }
 
-FunctionSeries
-SyntheticTraceGenerator::makeSeries(FunctionClass cls, Rng rng) const
+void
+SyntheticTraceGenerator::makeSeriesInto(FunctionClass cls, Rng rng,
+                                        FunctionSeries &series) const
 {
     const std::size_t n = config_.num_intervals;
-    FunctionSeries series;
+    ICEB_ASSERT(series.concurrency.size() == n,
+                "series buffer must be pre-sized to the horizon");
     series.cls = cls;
-    series.concurrency.assign(n, 0);
+    std::fill(series.concurrency.begin(), series.concurrency.end(), 0u);
     fillResourceHints(series, rng);
 
     // Log-uniform burst amplitude: most functions invoke with small
@@ -174,36 +222,38 @@ SyntheticTraceGenerator::makeSeries(FunctionClass cls, Rng rng) const
         return train;
     };
 
-    const auto render_trains =
-        [&](const std::vector<BurstTrain> &trains) {
-            for (std::size_t t = 0; t < n; ++t) {
-                double value = 0.0;
-                for (const auto &train : trains)
-                    value += evaluateBurstTrain(
-                        train, static_cast<double>(t));
-                if (value > 0.0)
-                    value += rng.gaussian(0.0, noise_sd);
-                series.concurrency[t] = toCount(value);
-            }
-        };
+    const auto render_trains = [&](const BurstTrain *trains,
+                                   std::size_t trains_count) {
+        for (std::size_t t = 0; t < n; ++t) {
+            double value = 0.0;
+            for (std::size_t i = 0; i < trains_count; ++i)
+                value += evaluateBurstTrain(trains[i],
+                                            static_cast<double>(t));
+            if (value > 0.0)
+                value += rng.gaussian(0.0, noise_sd);
+            series.concurrency[t] = toCount(value);
+        }
+    };
 
     switch (cls) {
       case FunctionClass::Periodic: {
-        render_trains({draw_train(level)});
+        const BurstTrain train = draw_train(level);
+        render_trains(&train, 1);
         break;
       }
       case FunctionClass::MultiHarmonic: {
         // Several superposed trains with decaying amplitudes: the
         // concurrency spectrum carries one component per train plus
         // the burst-shape harmonics (Fig. 5a).
-        const int trains_count = static_cast<int>(rng.uniformInt(2, 4));
-        std::vector<BurstTrain> trains;
+        const auto trains_count =
+            static_cast<std::size_t>(rng.uniformInt(2, 4));
+        BurstTrain trains[4];
         double amp = level;
-        for (int i = 0; i < trains_count; ++i) {
-            trains.push_back(draw_train(std::max(1.0, amp)));
+        for (std::size_t i = 0; i < trains_count; ++i) {
+            trains[i] = draw_train(std::max(1.0, amp));
             amp *= rng.uniform(0.4, 0.7);
         }
-        render_trains(trains);
+        render_trains(trains, trains_count);
         break;
       }
       case FunctionClass::PeriodShift: {
@@ -269,17 +319,11 @@ SyntheticTraceGenerator::makeSeries(FunctionClass cls, Rng rng) const
       case FunctionClass::Unknown:
         panic("cannot generate an Unknown-class series");
     }
-    return series;
 }
 
 SyntheticRowStream::SyntheticRowStream(SyntheticConfig config)
-    : generator_(std::move(config)), master_(generator_.config().seed)
+    : generator_(std::move(config)), cursor_(generator_.startCursor())
 {
-    // Same RNG choreography as generate(): the class-plan shuffle
-    // forks (and thereby advances) the master stream once, then every
-    // function forks it in id order — so function i's series here is
-    // byte-identical to function i of the materialized trace.
-    classes_ = generator_.classPlan(master_);
 }
 
 TimeMs
@@ -291,21 +335,29 @@ SyntheticRowStream::intervalMs() const
 bool
 SyntheticRowStream::next(FunctionRow &row)
 {
+    // The same batched generator as generate(), so function i here is
+    // byte-identical to function i of the materialized trace.
     const std::size_t i = next_fn_;
-    if (i >= generator_.config().num_functions)
-        return false;
-    scratch_ =
-        generator_.makeSeries(classes_[i], master_.fork(i + 1));
-    name_ = "fn-" + std::to_string(i);
+    if (i == cursor_.next_fn) {
+        batch_first_ = i;
+        if (!generator_.nextBatch(cursor_, batch_)) {
+            // Drained: no row view outlives this call, so a stream
+            // kept alive after ingest holds no batch memory.
+            batch_.clear();
+            batch_.shrink_to_fit();
+            return false;
+        }
+    }
+    const FunctionSeries &series = batch_[i - batch_first_];
     ++next_fn_;
 
     row.id = static_cast<FunctionId>(i);
-    row.name = name_;
-    row.cls = scratch_.cls;
-    row.memory_mb = scratch_.memory_mb;
-    row.avg_exec_ms = scratch_.avg_exec_ms;
-    row.counts = scratch_.concurrency.data();
-    row.num_intervals = scratch_.concurrency.size();
+    row.name = series.name;
+    row.cls = series.cls;
+    row.memory_mb = series.memory_mb;
+    row.avg_exec_ms = series.avg_exec_ms;
+    row.counts = series.concurrency.data();
+    row.num_intervals = series.concurrency.size();
     return true;
 }
 

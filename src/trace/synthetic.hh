@@ -20,7 +20,9 @@
 #ifndef ICEB_TRACE_SYNTHETIC_HH
 #define ICEB_TRACE_SYNTHETIC_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hh"
 #include "trace/stream_reader.hh"
@@ -75,14 +77,30 @@ struct SyntheticConfig
 /**
  * Generates traces per SyntheticConfig. Each call to generate() is
  * independent and deterministic.
+ *
+ * Functions are generated in batches on the shared TaskExecutor:
+ * every function's RNG fork is drawn from the master stream serially
+ * in id order (a fork advances the master), and the batch's series
+ * are then filled in parallel, each from its own fork only. The
+ * output is therefore the same for any worker count.
  */
 class SyntheticTraceGenerator
 {
   public:
+    /**
+     * Concurrency samples one generation batch holds: a batch is
+     * kBatchCounts / num_intervals functions (2048 functions of a
+     * 1440-interval day, 11.25 MiB of counts), and at least one.
+     */
+    static constexpr std::size_t kBatchCounts = std::size_t{2048} * 1440;
+
     explicit SyntheticTraceGenerator(SyntheticConfig config = {});
 
     /** Produce a full trace. */
     Trace generate() const;
+
+    /** Functions per generation batch for this config. */
+    std::size_t batchFunctions() const;
 
     /**
      * Produce a single series of the given class over the configured
@@ -97,8 +115,35 @@ class SyntheticTraceGenerator
   private:
     friend class SyntheticRowStream;
 
+    /** Where a batched generation pass stands (see nextBatch()). */
+    struct Cursor
+    {
+        Rng master;
+        std::vector<FunctionClass> classes;
+        std::vector<Rng> forks; //!< the current batch's forks
+        std::size_t next_fn = 0;
+    };
+
+    /** A cursor at function 0 (the class plan drawn, no forks yet). */
+    Cursor startCursor() const;
+
+    /**
+     * The one batched generator behind generate() and
+     * SyntheticRowStream: fills @p batch with the next
+     * batchFunctions() functions (fewer at the end) and advances
+     * @p cursor; false once every function has been generated.
+     * Buffers are sized on the calling thread and only written by the
+     * workers, so no batch memory lands in a worker's malloc arena.
+     */
+    bool nextBatch(Cursor &cursor,
+                   std::vector<FunctionSeries> &batch) const;
+
     std::vector<FunctionClass> classPlan(Rng &master) const;
-    FunctionSeries makeSeries(FunctionClass cls, Rng rng) const;
+
+    /** Generate into @p series, whose concurrency must already hold
+     * num_intervals entries; allocates nothing. */
+    void makeSeriesInto(FunctionClass cls, Rng rng,
+                        FunctionSeries &series) const;
     void fillResourceHints(FunctionSeries &series, Rng &rng) const;
 
     SyntheticConfig config_;
@@ -109,7 +154,9 @@ class SyntheticTraceGenerator
  * time, without materializing the trace: function i of the stream is
  * byte-identical (name, hints, concurrency) to function i of the
  * generated Trace for the same config. This is the workload source
- * for Azure-scale runs that would not fit in memory as a Trace.
+ * for Azure-scale runs that would not fit in memory as a Trace: it
+ * holds one generation batch, filled in parallel whenever next()
+ * steps past the previous one.
  */
 class SyntheticRowStream final : public FunctionRowSource
 {
@@ -126,10 +173,9 @@ class SyntheticRowStream final : public FunctionRowSource
 
   private:
     SyntheticTraceGenerator generator_;
-    Rng master_;
-    std::vector<FunctionClass> classes_;
-    FunctionSeries scratch_;
-    std::string name_;
+    SyntheticTraceGenerator::Cursor cursor_;
+    std::vector<FunctionSeries> batch_; //!< reused across batches
+    std::size_t batch_first_ = 0;       //!< id of batch_[0]
     std::size_t next_fn_ = 0;
 };
 

@@ -228,14 +228,14 @@ TEST(TaskExecutorTest, ResultsIndependentOfWorkerCount)
 TEST(TaskExecutorTest, TaskIRunsOnWorkerIModT)
 {
     const std::size_t workers = 3;
-    const auto threads_of = [&] {
+    const auto threads_of = [](std::size_t width) {
         std::vector<std::thread::id> ids(10);
-        TaskExecutor::shared().run(ids.size(), workers, [&](std::size_t i) {
+        TaskExecutor::shared().run(ids.size(), width, [&](std::size_t i) {
             ids[i] = std::this_thread::get_id();
         });
         return ids;
     };
-    const std::vector<std::thread::id> first = threads_of();
+    const std::vector<std::thread::id> first = threads_of(workers);
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(first[i], first[i % workers]) << "task " << i;
     for (std::size_t a = 0; a < workers; ++a) {
@@ -243,8 +243,13 @@ TEST(TaskExecutorTest, TaskIRunsOnWorkerIModT)
         for (std::size_t b = a + 1; b < workers; ++b)
             EXPECT_NE(first[a], first[b]);
     }
+    // A narrower call runs on the first workers only, and the worker
+    // it left out still takes part in the next wide call.
+    const std::vector<std::thread::id> narrow = threads_of(2);
+    for (std::size_t i = 0; i < narrow.size(); ++i)
+        EXPECT_EQ(narrow[i], first[i % 2]) << "task " << i;
     // Workers persist: the next call replays on the same threads.
-    EXPECT_EQ(threads_of(), first);
+    EXPECT_EQ(threads_of(workers), first);
 }
 
 TEST(TaskExecutorTest, TaskExceptionReachesCaller)

@@ -442,6 +442,37 @@ TEST(ServeFacadeTest, ObservationsReachThePolicyPerClosedInterval)
               (std::vector<std::uint32_t>{0, 2}));
 }
 
+TEST(ServeFacadeTest, BadArrivalsAreRejectedNotFatal)
+{
+    // Arrivals come from outside the process: an unknown function id,
+    // or any arrival before initialize(), is refused and counted
+    // instead of aborting a live server.
+    const std::unique_ptr<serve::DecisionEngine> engine =
+        harness::makeDecisionEngineByName("openwhisk");
+    EXPECT_FALSE(engine->pushArrival(0));
+    EXPECT_EQ(engine->rejectedArrivals(), 1u);
+
+    const std::vector<workload::FunctionProfile> profiles(2);
+    const sim::ClusterConfig cluster_config =
+        sim::defaultHeterogeneousCluster();
+    sim::SimContext ctx;
+    ctx.num_functions = profiles.size();
+    ctx.profiles = &profiles;
+    ctx.cluster = &cluster_config;
+    ctx.interval_ms = kMsPerMinute;
+    engine->initialize(ctx);
+
+    GrantAllWarmup cluster;
+    engine->advanceInterval(cluster);
+    EXPECT_FALSE(engine->pushArrival(2, 5));
+    EXPECT_FALSE(engine->pushArrival(kInvalidFunction));
+    EXPECT_EQ(engine->rejectedArrivals(), 7u);
+    EXPECT_TRUE(engine->pushArrival(1, 2));
+    EXPECT_EQ(engine->rejectedArrivals(), 7u);
+    engine->advanceInterval(cluster);
+    EXPECT_EQ(engine->servedIntervals(), 2);
+}
+
 TEST(ServeFacadeTest, OracleIsRejectedAtTheServingBoundary)
 {
     EXPECT_DEATH(harness::makeDecisionEngineByName("oracle"),

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "trace/azure_loader.hh"
@@ -218,6 +220,87 @@ TEST(SyntheticDeathTest, OverfullClassMixIsFatal)
     config.frac_infrequent = 0.9;
     EXPECT_EXIT(SyntheticTraceGenerator{config},
                 ::testing::ExitedWithCode(1), "fractions");
+}
+
+// Byte-identity lockdown for batched generation: an FNV-1a digest of
+// every generated function's name, class, hints and counts. The
+// constant was captured from the serial generator that preceded
+// batching; the series evaluate exp/log/cos/sin, so it assumes glibc's
+// libm.
+
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t value, int bytes)
+{
+    for (int byte = 0; byte < bytes; ++byte) {
+        hash ^= (value >> (8 * byte)) & 0xff;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+std::uint64_t
+hashSeries(std::uint64_t hash, const FunctionSeries &fn)
+{
+    for (const char c : fn.name)
+        hash = fnv1a(hash, static_cast<unsigned char>(c), 1);
+    hash = fnv1a(hash, static_cast<std::uint64_t>(fn.cls), 1);
+    hash = fnv1a(hash, static_cast<std::uint64_t>(fn.memory_mb), 8);
+    hash = fnv1a(hash, static_cast<std::uint64_t>(fn.avg_exec_ms), 8);
+    for (const std::uint32_t count : fn.concurrency)
+        hash = fnv1a(hash, count, 4);
+    return hash;
+}
+
+/** Azure-scale day sized to three full generation batches plus a
+ * remainder. */
+SyntheticConfig
+multiBatchConfig()
+{
+    return azureScaleConfig(7000, 1440);
+}
+
+TEST(SyntheticTest, BatchedGenerationMatchesPinnedDigest)
+{
+    const SyntheticTraceGenerator gen(multiBatchConfig());
+    const std::size_t batch = gen.batchFunctions();
+    EXPECT_EQ(batch, 2048u);
+    EXPECT_GT(gen.config().num_functions, 3 * batch);
+    EXPECT_NE(gen.config().num_functions % batch, 0u);
+
+    const Trace trace = gen.generate();
+    ASSERT_EQ(trace.numFunctions(), gen.config().num_functions);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const FunctionSeries &fn : trace.functions())
+        hash = hashSeries(hash, fn);
+    EXPECT_EQ(hash, 0xd3ad8bbef1429464ull);
+}
+
+TEST(SyntheticTest, RowStreamMatchesGenerateAcrossBatches)
+{
+    const SyntheticConfig config = multiBatchConfig();
+    const Trace trace = SyntheticTraceGenerator(config).generate();
+    SyntheticRowStream rows(config);
+    EXPECT_EQ(rows.intervalMs(), trace.intervalMs());
+
+    FunctionRow row;
+    std::size_t seen = 0;
+    while (rows.next(row)) {
+        ASSERT_LT(seen, trace.numFunctions());
+        const FunctionSeries &fn =
+            trace.function(static_cast<FunctionId>(seen));
+        ASSERT_EQ(row.id, seen);
+        EXPECT_EQ(row.name, fn.name);
+        EXPECT_EQ(row.cls, fn.cls);
+        EXPECT_EQ(row.memory_mb, fn.memory_mb);
+        EXPECT_EQ(row.avg_exec_ms, fn.avg_exec_ms);
+        ASSERT_EQ(row.num_intervals, fn.concurrency.size());
+        EXPECT_TRUE(std::equal(row.counts, row.counts + row.num_intervals,
+                               fn.concurrency.begin()))
+            << "function " << seen;
+        ++seen;
+    }
+    EXPECT_EQ(seen, trace.numFunctions());
+    EXPECT_FALSE(rows.next(row));
 }
 
 /** Every class generates non-degenerate series. */

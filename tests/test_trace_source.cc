@@ -165,23 +165,36 @@ TEST(TraceSourceTest, StreamedWindowsMatchMaterialized)
 
 TEST(TraceSourceTest, ForcedSpillWindowsIdentical)
 {
+    // Both the spilled chunks and the single in-memory run go through
+    // the same interval sort, so each is checked against the
+    // materialized builder, which sorts independently. Chunk size 1
+    // puts every record in its own run; 7 splits bursts and functions
+    // across runs at irregular points.
     const trace::SyntheticConfig config = smallConfig();
+    const trace::Trace tr =
+        trace::SyntheticTraceGenerator(config).generate();
+    MaterializedTraceSource materialized(tr, SimulatorOptions{}.seed);
+    const auto expected = drainWindows(materialized);
 
-    trace::SyntheticRowStream rows_a(config);
-    StreamingWorkloadSource in_memory(rows_a);
+    trace::SyntheticRowStream rows(config);
+    StreamingWorkloadSource in_memory(rows);
+    EXPECT_EQ(in_memory.spillRuns(), 0u);
+    expectWindowsIdentical(drainWindows(in_memory), expected);
 
-    StreamingSourceOptions tiny;
-    tiny.chunk_records = 64;
-    tiny.read_records = 16;
-    trace::SyntheticRowStream rows_b(config);
-    StreamingWorkloadSource spilled(rows_b, tiny);
+    for (const std::size_t chunk : {1u, 7u, 64u}) {
+        SCOPED_TRACE("chunk_records " + std::to_string(chunk));
+        StreamingSourceOptions tiny;
+        tiny.chunk_records = chunk;
+        tiny.read_records = 16;
+        trace::SyntheticRowStream chunk_rows(config);
+        StreamingWorkloadSource spilled(chunk_rows, tiny);
 
-    // The tiny chunk must actually exercise the external path.
-    EXPECT_GT(spilled.spillRuns(), 0u);
-    EXPECT_GT(spilled.spilledBytes(), 0u);
-
-    expectWindowsIdentical(drainWindows(in_memory),
-                           drainWindows(spilled));
+        // The tiny chunk must actually exercise the external path.
+        EXPECT_EQ(spilled.spillRuns(),
+                  (spilled.totalArrivals() + chunk - 1) / chunk);
+        EXPECT_GT(spilled.spilledBytes(), 0u);
+        expectWindowsIdentical(drainWindows(spilled), expected);
+    }
 }
 
 TEST(TraceSourceTest, BeginRunRewindsStreamedSource)
