@@ -17,8 +17,7 @@
  *    /proc/self/clear_refs, so each phase owns its own peak).
  *
  * The bench always self-gates on correctness: the streamed run's
- * metrics must be byte-identical to the materialized run's, in the
- * classic engine AND the sharded engine (--shards workers), and a
+ * metrics must be byte-identical to the materialized run's, and a
  * hinted streamed re-run must perform zero allocations (the merge
  * loop's zero-steady-state-allocation contract, measured end to end).
  * In --smoke mode the chunk size is forced tiny so the external
@@ -28,8 +27,6 @@
  *   --functions N / --intervals N   workload size (default 100000 x
  *                                   1440: one synthetic Azure day)
  *   --repeats R                     timed runs per engine (default 3)
- *   --shards N                      workers for the sharded rows
- *                                   (default 4)
  *   --json PATH                     output (default BENCH_scale.json)
  *   --smoke                         small workload + forced spill;
  *                                   correctness gates only
@@ -42,8 +39,9 @@
  *                                   in the streamed phase);
  *                                   [metrics digest]
  *                                   -- the fixed-geometry streamed
- *                                   sharded digest must match exactly
- *                                   (machine-independent); [stream
+ *                                   IceBreaker digest must match
+ *                                   exactly (machine-independent);
+ *                                   [stream
  *                                   rate ratio] -- streamed events/sec
  *                                   over materialized events/sec,
  *                                   same process and machine so
@@ -73,7 +71,6 @@
 #include "obs/recorder.hh"
 #include "policies/openwhisk_policy.hh"
 #include "sim/cluster_config.hh"
-#include "sim/sharded_simulator.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_source.hh"
 #include "trace/azure_loader.hh"
@@ -125,7 +122,6 @@ struct BenchConfig
     std::size_t num_functions = 100'000;
     std::size_t num_intervals = 1440; //!< one day of 1-minute slots
     std::size_t repeats = 3;
-    std::size_t shards = 4;
     std::string json_path = "BENCH_scale.json";
     std::string baseline_path;
     bool smoke = false;
@@ -321,12 +317,6 @@ struct RunRow
     std::size_t peak_rss_kb = 0;
 };
 
-struct FixedRow
-{
-    std::size_t workers = 0;
-    std::string metrics_digest;
-};
-
 /** The telemetry-overhead row: histograms on vs off, streamed core. */
 struct TelemetryRow
 {
@@ -413,8 +403,8 @@ writeJson(const BenchConfig &cfg, std::uint64_t arrivals,
           const CsvRow &csv, const IngestRow &stream_ingest,
           std::size_t spill_runs, std::uint64_t spilled_bytes,
           const IngestRow &materialize, const RunRow &streamed,
-          const RunRow &materialized, bool agree, bool sharded_agree,
-          long long hinted_allocs, const FixedRow &fixed,
+          const RunRow &materialized, bool agree,
+          long long hinted_allocs, const std::string &fixed_digest,
           const TelemetryRow &telemetry)
 {
     const double rss_ratio = streamed.peak_rss_kb > 0
@@ -456,8 +446,6 @@ writeJson(const BenchConfig &cfg, std::uint64_t arrivals,
         << streamed.events_per_sec / materialized.events_per_sec << ",\n";
     out << "  \"rss_ratio\": " << rss_ratio << ",\n";
     out << "  \"agreement\": " << (agree ? "true" : "false") << ",\n";
-    out << "  \"sharded_agreement\": "
-        << (sharded_agree ? "true" : "false") << ",\n";
     out << "  \"allocations\": {\"hinted_run\": " << hinted_allocs
         << "},\n";
     out << "  \"telemetry\": {\"events_per_sec_off\": "
@@ -468,8 +456,7 @@ writeJson(const BenchConfig &cfg, std::uint64_t arrivals,
     out << "  \"fixed\": {\"functions\": " << kFixedFunctions
         << ", \"intervals\": " << kFixedIntervals
         << ", \"scheme\": \"icebreaker\""
-        << ", \"workers\": " << fixed.workers
-        << ", \"metrics_digest\": \"" << fixed.metrics_digest << "\"}\n";
+        << ", \"metrics_digest\": \"" << fixed_digest << "\"}\n";
     out << "}\n";
 }
 
@@ -478,7 +465,7 @@ usage(int status)
 {
     (status == 0 ? std::cout : std::cerr)
         << "usage: bench_scale [--functions N] [--intervals N]\n"
-           "                   [--repeats R] [--shards N]\n"
+           "                   [--repeats R]\n"
            "                   [--json PATH] [--smoke]\n"
            "                   [--baseline PATH]\n";
     std::exit(status);
@@ -517,8 +504,6 @@ parseArgs(int argc, char **argv)
             cfg.num_intervals = count();
         } else if (arg == "--repeats") {
             cfg.repeats = count();
-        } else if (arg == "--shards") {
-            cfg.shards = count();
         } else if (arg == "--json") {
             cfg.json_path = next();
         } else if (arg == "--baseline") {
@@ -582,7 +567,6 @@ main(int argc, char **argv)
     std::uint64_t invocations = 0;
     std::uint64_t events = 0;
     std::uint64_t digest_streamed = 0;
-    std::uint64_t digest_streamed_sharded = 0;
     std::size_t spill_runs = 0;
     std::uint64_t spilled_bytes = 0;
     long long hinted_allocs = 0;
@@ -657,9 +641,7 @@ main(int argc, char **argv)
         streamed.events_per_sec = static_cast<double>(events) /
             (streamed_best_ms / 1000.0);
 
-        // The RSS sample covers exactly ingest + profiles + classic
-        // runs; the sharded agreement run below allocates per-cell
-        // engine state that belongs to neither pipeline.
+        // The RSS sample covers exactly ingest + profiles + runs.
         streamed.peak_rss_kb = peakRssKb();
 
         // Telemetry overhead row: the same hinted streamed run with
@@ -716,17 +698,6 @@ main(int argc, char **argv)
                     telemetry.events_per_sec_on,
                     telemetry.overhead_ratio);
 
-        // Sharded engine fed by the streamed source (the coordinator
-        // scatters each global window to the cells). OpenWhisk keeps
-        // the at-scale digest about the engine's window path; the
-        // paper scheme runs in the fixed digest row instead.
-        {
-            policies::OpenWhiskPolicy sharded_policy;
-            sim::SimulatorOptions options;
-            options.shards = cfg.shards;
-            digest_streamed_sharded = hashMetrics(sim::runSimulation(
-                source, profiles, cluster, sharded_policy, options));
-        }
         std::printf("streamed run: %8.0f events/sec, peak RSS %.1f "
                     "MB\n",
                     streamed.events_per_sec,
@@ -738,7 +709,6 @@ main(int argc, char **argv)
     IngestRow materialize;
     RunRow materialized;
     std::uint64_t digest_materialized = 0;
-    std::uint64_t digest_materialized_sharded = 0;
     double materialized_best_ms = 0.0;
     {
         const auto build_start = Clock::now();
@@ -769,14 +739,6 @@ main(int argc, char **argv)
             (materialized_best_ms / 1000.0);
 
         materialized.peak_rss_kb = peakRssKb();
-
-        {
-            policies::OpenWhiskPolicy sharded_policy;
-            sim::SimulatorOptions options;
-            options.shards = cfg.shards;
-            digest_materialized_sharded = hashMetrics(sim::runSimulation(
-                tr, profiles, cluster, sharded_policy, options));
-        }
         std::printf("materialized: built in %.1f ms; %8.0f events/sec, "
                     "peak RSS %.1f MB\n",
                     materialize.wall_ms, materialized.events_per_sec,
@@ -785,12 +747,8 @@ main(int argc, char **argv)
     }
 
     const bool agree = digest_streamed == digest_materialized;
-    const bool sharded_agree =
-        digest_streamed_sharded == digest_materialized_sharded;
-    std::printf("agreement (streamed == materialized): classic %s, "
-                "sharded x%zu %s\n",
-                agree ? "OK" : "MISMATCH", cfg.shards,
-                sharded_agree ? "OK" : "MISMATCH");
+    std::printf("agreement (streamed == materialized): %s\n",
+                agree ? "OK" : "MISMATCH");
     if (streamed.peak_rss_kb > 0 && rss_resets) {
         std::printf("peak RSS ratio (materialized / streamed): %.2fx\n",
                     static_cast<double>(materialized.peak_rss_kb) /
@@ -799,10 +757,8 @@ main(int argc, char **argv)
 
     // ------------------------------------------- fixed digest row
     // Machine-independent: fixed geometry, default chunking, the paper
-    // scheme on the sharded engine, digest identical for every worker
-    // count by the sharded determinism contract.
-    FixedRow fixed;
-    fixed.workers = cfg.shards;
+    // scheme fed by the streamed source.
+    std::string fixed_digest;
     {
         trace::SyntheticRowStream rows(
             trace::azureScaleConfig(kFixedFunctions, kFixedIntervals));
@@ -810,20 +766,15 @@ main(int argc, char **argv)
         const std::vector<workload::FunctionProfile> profiles =
             sim::matchStreamedProfiles(source, matcher);
         core::IceBreakerPolicy policy;
-        sim::SimulatorOptions options;
-        options.shards = cfg.shards;
-        fixed.metrics_digest = digestHex(hashMetrics(sim::runSimulation(
-            source, profiles, scaleCluster(kFixedFunctions), policy,
-            options)));
+        fixed_digest = digestHex(hashMetrics(sim::runSimulation(
+            source, profiles, scaleCluster(kFixedFunctions), policy)));
     }
-    std::printf("fixed row (%zux%zu, icebreaker, streamed+sharded): "
-                "digest %s\n",
-                kFixedFunctions, kFixedIntervals,
-                fixed.metrics_digest.c_str());
+    std::printf("fixed row (%zux%zu, icebreaker, streamed): digest %s\n",
+                kFixedFunctions, kFixedIntervals, fixed_digest.c_str());
 
     writeJson(cfg, arrivals, invocations, events, csv, stream_ingest,
               spill_runs, spilled_bytes, materialize, streamed,
-              materialized, agree, sharded_agree, hinted_allocs, fixed,
+              materialized, agree, hinted_allocs, fixed_digest,
               telemetry);
     std::printf("wrote %s\n", cfg.json_path.c_str());
 
@@ -834,14 +785,6 @@ main(int argc, char **argv)
                      "%s != %s\n",
                      digestHex(digest_streamed).c_str(),
                      digestHex(digest_materialized).c_str());
-        return 1;
-    }
-    if (!sharded_agree) {
-        std::fprintf(stderr,
-                     "FAIL: sharded streamed and materialized metrics "
-                     "differ: %s != %s\n",
-                     digestHex(digest_streamed_sharded).c_str(),
-                     digestHex(digest_materialized_sharded).c_str());
         return 1;
     }
     if (hinted_allocs != 0) {
@@ -864,7 +807,7 @@ main(int argc, char **argv)
             return 1;
         }
         const harness::GateResult digest_gate = harness::gateDigest(
-            "metrics digest", fixed.metrics_digest, *committed);
+            "metrics digest", fixed_digest, *committed);
         std::printf("%s\n", digest_gate.message.c_str());
         if (!digest_gate.ok) {
             std::fprintf(stderr, "FAIL: %s\n",

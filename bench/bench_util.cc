@@ -43,17 +43,6 @@ usage(const char *prog, int status)
         << "usage: " << prog << " [options]\n"
         << "  --threads N   worker threads (0 = hardware concurrency; "
            "default 0)\n"
-        << "  --shards N    intra-run shard workers (0 = classic "
-           "engine; default 0).\n"
-        << "                Sharded output is identical for every "
-           "N >= 1 but differs\n"
-        << "                from the classic engine (partitioned "
-           "memory model)\n"
-        << "  --max-cells M ceiling for the sharded engine's auto "
-           "cell count\n"
-        << "                (0 = built-in default of 16; results "
-           "depend on the\n"
-        << "                cell partition, never on --shards)\n"
         << "  --seeds S     base seed for derived per-run RNG streams\n"
         << "  --repeats R   seed replicates per experiment cell "
            "(default 1)\n"
@@ -125,14 +114,6 @@ parseBenchOptions(int argc, char **argv)
             options.threads =
                 static_cast<std::size_t>(parseUint(prog, arg,
                                                    value(arg)));
-        } else if (arg == "--shards") {
-            options.shards =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
-        } else if (arg == "--max-cells") {
-            options.max_cells =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
         } else if (arg == "--repeats") {
             options.repeats =
                 static_cast<std::size_t>(parseUint(prog, arg,
@@ -166,8 +147,6 @@ runnerOptions(const BenchOptions &options)
 {
     harness::RunnerOptions ro;
     ro.threads = options.threads;
-    ro.shards = options.shards;
-    ro.max_cells = options.max_cells;
     ro.repeats = options.repeats;
     ro.base_seed = options.base_seed;
     if (options.observation.enabled())
@@ -254,12 +233,8 @@ runGridComparison(const std::string &title,
     for (const ComparisonScheme &scheme : schemes)
         keys.push_back(scheme.key);
 
-    std::vector<harness::RunSpec> grid = harness::buildGrid(
+    const std::vector<harness::RunSpec> grid = harness::buildGrid(
         keys, workload, points, options.base_seed, options.repeats);
-    for (harness::RunSpec &spec : grid) {
-        spec.shards = options.shards;
-        spec.max_cells = options.max_cells;
-    }
     harness::ExperimentRunner runner(options.threads);
     if (options.observation.enabled())
         runner.setObservation(options.observation);

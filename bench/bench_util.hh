@@ -44,12 +44,6 @@ iceb::harness::Workload sweepWorkload();
  * Common bench CLI options.
  *
  *   --threads N       worker threads (0 = hardware concurrency, default)
- *   --shards N        intra-run shard workers (0 = classic engine,
- *                     default; sharded results are identical for any
- *                     N >= 1 but differ from the classic engine)
- *   --max-cells M     ceiling for the sharded engine's auto cell
- *                     count (0 = built-in default of 16; part of the
- *                     partition model, so results depend on it)
  *   --seeds S         base seed for the run's derived RNG streams
  *   --repeats R       seed replicates per cell (mean +- stddev columns)
  *   --smoke           shrunken workload for CI smoke runs
@@ -61,8 +55,6 @@ iceb::harness::Workload sweepWorkload();
 struct BenchOptions
 {
     std::size_t threads = 0;
-    std::size_t shards = 0;
-    std::size_t max_cells = 0;
     std::size_t repeats = 1;
     std::uint64_t base_seed = iceb::harness::kDefaultBaseSeed;
     bool smoke = false;

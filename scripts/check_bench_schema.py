@@ -13,11 +13,10 @@ Usage:
     check_bench_schema.py PATH_TO_BENCH [--golden PATH] [--args "..."]
                           [--json-flag FLAG] [--update]
 
-Defaults preserve the original bench_sim invocation: golden file
-tests/golden/bench_sim_schema.txt, args "--shards 2 --smoke", JSON
-output requested via --json. Binaries that spell the flag differently
-(live_serve writes its stats snapshot via --stats-json) pass
---json-flag.
+Defaults check bench_sim: golden file tests/golden/bench_sim_schema.txt,
+args "--smoke", JSON output requested via --json. Binaries that spell
+the flag differently (live_serve writes its stats snapshot via
+--stats-json) pass --json-flag.
 """
 
 import argparse
@@ -30,7 +29,7 @@ import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_GOLDEN = REPO / "tests" / "golden" / "bench_sim_schema.txt"
-DEFAULT_ARGS = "--shards 2 --smoke"
+DEFAULT_ARGS = "--smoke"
 
 
 def key_paths(value, prefix=""):
@@ -99,7 +98,7 @@ def main(argv):
             print(f"FAIL: new key path not in golden: {path}",
                   file=sys.stderr)
         print(f"(update consciously with: {argv[0]} {opts.bench} "
-              f"--golden {opts.golden} --args {opts.args!r} --update)",
+              f"--golden {opts.golden} --args={opts.args!r} --update)",
               file=sys.stderr)
         return 1
     print(f"OK: {len(actual)} key paths match {opts.golden.name}")

@@ -7,22 +7,13 @@ Checks, with only the stdlib:
   - duration events have non-negative dur,
   - every pid is named via a process_name metadata event,
   - there is at least one duration or instant event (a trace of pure
-    metadata means the instrumentation recorded nothing),
-  - barrier-phase spans (cat "barrier") nest correctly: serial-phase
-    spans sit at barrier timestamps, never strictly inside a
-    parallel-cells span, and every parallel-cells span is paired with
-    exactly one serial-barrier span on the same track.
+    metadata means the instrumentation recorded nothing).
 
-With --min-cells N, additionally require a sharded run's per-cell
-track layout: at least one process with >= N "cellK" thread_name
-tracks, every declared cell track carrying at least one event.
-
-Usage: check_chrome_trace.py TRACE.json [--min-cells N]
+Usage: check_chrome_trace.py TRACE.json
 """
 
 import argparse
 import json
-import re
 import sys
 
 REQUIRED = {
@@ -32,76 +23,10 @@ REQUIRED = {
     "C": {"ph", "pid", "ts", "name", "args"},
 }
 
-CELL_TRACK = re.compile(r"^cell(\d+)$")
-
 
 def fail(msg):
     print(f"check_chrome_trace: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
-
-
-def check_barrier_nesting(events):
-    """Serial barrier phases must never overlap a parallel phase.
-
-    The sharded coordinator records, per interval, zero-length
-    serial-phase spans (serial-barrier, probe-sample) at the barrier
-    timestamp followed by one parallel-cells span covering the
-    interval. Nesting invariant: a serial span's ts may touch a
-    parallel span's boundary but never its strict interior, and
-    serial-barrier / parallel-cells spans pair 1:1 per track.
-    """
-    parallel = {}  # (pid, tid) -> [(ts, dur)]
-    serial = {}    # (pid, tid) -> [(ts, name)]
-    barriers = {}  # (pid, tid) -> count of serial-barrier spans
-    for ev in events:
-        if ev.get("ph") != "X" or ev.get("cat") != "barrier":
-            continue
-        key = (ev["pid"], ev["tid"])
-        if ev["name"] == "parallel-cells":
-            parallel.setdefault(key, []).append((ev["ts"], ev["dur"]))
-        else:
-            serial.setdefault(key, []).append((ev["ts"], ev["name"]))
-            if ev["name"] == "serial-barrier":
-                barriers[key] = barriers.get(key, 0) + 1
-
-    for key, spans in parallel.items():
-        spans.sort()
-        for (t0, d0), (t1, _) in zip(spans, spans[1:]):
-            if t1 < t0 + d0:
-                fail(f"track {key}: parallel-cells spans overlap "
-                     f"(ts {t0} dur {d0} vs ts {t1})")
-        if barriers.get(key, 0) != len(spans):
-            fail(f"track {key}: {len(spans)} parallel-cells spans but "
-                 f"{barriers.get(key, 0)} serial-barrier spans")
-        for ts, name in serial.get(key, []):
-            for t, d in spans:
-                if t < ts < t + d:
-                    fail(f"track {key}: serial span {name!r} at ts "
-                         f"{ts} inside parallel-cells [{t}, {t + d}]")
-    return sum(len(s) for s in parallel.values())
-
-
-def check_cell_tracks(events, min_cells):
-    """Per-cell track layout of a sharded run (--min-cells)."""
-    declared = {}  # pid -> {tid of a "cellK" thread_name track}
-    populated = {}  # pid -> {tid with at least one non-metadata event}
-    for ev in events:
-        if (ev.get("ph") == "M" and ev.get("name") == "thread_name"
-                and CELL_TRACK.match(ev["args"].get("name", ""))):
-            declared.setdefault(ev["pid"], set()).add(ev["tid"])
-        elif ev.get("ph") in ("X", "i") and "tid" in ev:
-            populated.setdefault(ev["pid"], set()).add(ev["tid"])
-
-    best = max((len(tids) for tids in declared.values()), default=0)
-    if best < min_cells:
-        fail(f"no process declares >= {min_cells} cell tracks "
-             f"(best: {best})")
-    for pid, tids in declared.items():
-        empty = tids - populated.get(pid, set())
-        if empty:
-            fail(f"pid {pid}: cell tracks without events: "
-                 f"{sorted(empty)}")
-    return best
 
 
 def main():
@@ -109,9 +34,6 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("trace", help="trace_event JSON file")
-    parser.add_argument("--min-cells", type=int, default=0,
-                        help="require a sharded run with at least N "
-                             "per-cell tid tracks, each non-empty")
     opts = parser.parse_args()
 
     try:
@@ -150,22 +72,8 @@ def main():
     if counts.get("X", 0) + counts.get("i", 0) == 0:
         fail("no duration or instant events recorded")
 
-    phases = check_barrier_nesting(events)
-    cells = 0
-    if opts.min_cells > 0:
-        cells = check_cell_tracks(events, opts.min_cells)
-        if phases == 0:
-            fail("--min-cells given but no parallel-cells barrier "
-                 "spans recorded")
-
     summary = ", ".join(f"{ph}={n}" for ph, n in sorted(counts.items()))
-    extra = ""
-    if phases:
-        extra += f", {phases} barrier phases"
-    if cells:
-        extra += f", {cells} cell tracks"
-    print(f"check_chrome_trace: OK ({len(events)} events: "
-          f"{summary}{extra})")
+    print(f"check_chrome_trace: OK ({len(events)} events: {summary})")
 
 
 if __name__ == "__main__":

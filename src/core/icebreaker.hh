@@ -113,14 +113,6 @@ class IceBreakerPolicy : public sim::Policy
     void onWarmupWasted(FunctionId fn, Tier tier, TimeMs now) override;
     TimeMs overheadMs() const override { return config_.overhead_ms; }
 
-    /**
-     * Every mid-interval hook touches only functions_[fn] (disjoint
-     * vector elements across cells); the FIP pool, PDM cut-offs and
-     * utility scratch are written exclusively in the interval hooks
-     * and only read (per function) in between.
-     */
-    bool shardCompatible() const override { return true; }
-
     /** The PDM (exposed for tests and the ablation benches). */
     const Pdm &pdm() const { return *pdm_; }
 

@@ -142,10 +142,6 @@ buildManifest(std::size_t index, const RunResult &result,
         if (const obs::TraceSink *sink = recorder->traceSinkIfEnabled()) {
             manifest.trace_recorded = sink->recorded();
             manifest.trace_dropped = sink->dropped();
-            for (const auto &cell : recorder->cellTraceSinks()) {
-                manifest.trace_recorded += cell->recorded();
-                manifest.trace_dropped += cell->dropped();
-            }
         }
         if (const obs::ProbeTable *probes =
                 recorder->probeTableIfEnabled()) {
@@ -199,8 +195,6 @@ writeObservations(
             if (recorders[i] != nullptr) {
                 run.trace = recorders[i]->traceSinkIfEnabled();
                 run.probes = recorders[i]->probeTableIfEnabled();
-                for (const auto &cell : recorders[i]->cellTraceSinks())
-                    run.cells.push_back(cell.get());
             }
             runs.push_back(std::move(run));
         }

@@ -91,8 +91,6 @@ ExperimentRunner::run(const std::vector<RunSpec> &grid) const
             registry.make(spec.scheme);
         sim::SimulatorOptions options = sim::SimulatorOptions::forRun(
             spec.base_seed, spec.run_index);
-        options.shards = spec.shards;
-        options.max_cells = spec.max_cells;
         if (observe) {
             recorders[i] = std::make_unique<obs::RunRecorder>(obs_config);
             options.recorder = recorders[i].get();
@@ -173,12 +171,8 @@ runAllSchemesParallel(const Workload &workload,
         schemes.push_back(schemeKey(scheme));
 
     const std::vector<SweepPoint> points = {{"", cluster}};
-    std::vector<RunSpec> grid = buildGrid(
+    const std::vector<RunSpec> grid = buildGrid(
         schemes, workload, points, options.base_seed, options.repeats);
-    for (RunSpec &spec : grid) {
-        spec.shards = options.shards;
-        spec.max_cells = options.max_cells;
-    }
     ExperimentRunner runner(options.threads);
     if (options.observation != nullptr)
         runner.setObservation(*options.observation);

@@ -45,17 +45,6 @@ struct RunSpec
     std::uint64_t base_seed = kDefaultBaseSeed;
     std::uint32_t run_index = 0;       //!< seed-replicate index
     std::string label;                 //!< sweep-point tag for grouping
-
-    /**
-     * Worker threads inside each simulation (SimulatorOptions::shards):
-     * 0 = classic single-shard engine, >= 1 = sharded engine. Results
-     * of the sharded engine are identical for every value >= 1.
-     */
-    std::size_t shards = 0;
-
-    /** Auto cell-count ceiling for the sharded engine
-     * (SimulatorOptions::max_cells; 0 = built-in default). */
-    std::size_t max_cells = 0;
 };
 
 /** One run's outcome, paired with the spec that produced it. */
@@ -156,12 +145,6 @@ struct RunnerOptions
     std::size_t threads = 0; //!< 0 = hardware concurrency
     std::size_t repeats = 1; //!< seed replicates per cell
     std::uint64_t base_seed = kDefaultBaseSeed;
-
-    /** Intra-run worker threads (RunSpec::shards; 0 = classic engine). */
-    std::size_t shards = 0;
-
-    /** Auto cell-count ceiling (RunSpec::max_cells; 0 = default). */
-    std::size_t max_cells = 0;
 
     /** Observability destinations (borrowed; null = off). */
     const ObservationOptions *observation = nullptr;

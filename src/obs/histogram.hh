@@ -14,8 +14,8 @@
  *    still performs zero steady-state allocations.
  *  - merge() is plain integer bucket addition — associative and
  *    commutative exactly, the same discipline as
- *    SimulationMetrics::merge() — so seed replicates and shard cells
- *    pool deterministically regardless of merge order.
+ *    SimulationMetrics::merge() — so a merged set is the same
+ *    regardless of merge order.
  *  - Values are unsigned integers in a caller-chosen unit (simulated
  *    ms for latency series, wall-clock µs for the decision/forecast
  *    timers). Values 0..2^kSubBits-1 land in exact singleton buckets;
@@ -187,7 +187,7 @@ struct HistogramRun
  * row per occupied bucket, runs in order, series in namedHistograms
  * order. Empty histograms contribute no rows, so default
  * (deterministic) runs produce byte-identical files for every
- * shards × threads combination.
+ * --threads value.
  */
 void writeHistogramCsv(std::ostream &out,
                        const std::vector<HistogramRun> &runs);

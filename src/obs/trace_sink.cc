@@ -42,9 +42,6 @@ const char *traceKindName(TraceKind kind)
     case TraceKind::WarmupWasted: return "warmup_wasted";
     case TraceKind::Eviction: return "eviction";
     case TraceKind::Expiry: return "expiry";
-    case TraceKind::PhaseSerialBarrier: return "serial-barrier";
-    case TraceKind::PhaseProbeSample: return "probe-sample";
-    case TraceKind::PhaseParallelCells: return "parallel-cells";
     }
     return "unknown";
 }
@@ -73,10 +70,6 @@ enum ChromeTid : int
     kTidInvocations = 1,
     kTidWarmup = 2,
     kTidReclaim = 3,
-    /** The sharded coordinator's barrier-phase span track. */
-    kTidBarrier = 4,
-    /** Cell c of a sharded run gets the single tid kTidCellBase + c. */
-    kTidCellBase = 16,
 };
 
 int chromeTid(TraceKind kind)
@@ -96,19 +89,8 @@ int chromeTid(TraceKind kind)
     case TraceKind::Eviction:
     case TraceKind::Expiry:
         return kTidReclaim;
-    case TraceKind::PhaseSerialBarrier:
-    case TraceKind::PhaseProbeSample:
-    case TraceKind::PhaseParallelCells:
-        return kTidBarrier;
     }
     return kTidInvocations;
-}
-
-bool isBarrierPhase(TraceKind kind)
-{
-    return kind == TraceKind::PhaseSerialBarrier ||
-        kind == TraceKind::PhaseProbeSample ||
-        kind == TraceKind::PhaseParallelCells;
 }
 
 const char *chromeTidName(int tid)
@@ -152,8 +134,7 @@ class LineWriter
 /** Simulated ms -> trace_event µs. */
 long long toUs(TimeMs ms) { return static_cast<long long>(ms) * 1000; }
 
-void writeRunMetadata(LineWriter &w, int pid, const std::string &name,
-                      std::size_t num_cells)
+void writeRunMetadata(LineWriter &w, int pid, const std::string &name)
 {
     w.event("{\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
             "\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}",
@@ -163,41 +144,14 @@ void writeRunMetadata(LineWriter &w, int pid, const std::string &name,
                 "\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
                 pid, tid, chromeTidName(tid));
     }
-    if (num_cells > 0) {
-        w.event("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-                "\"name\":\"thread_name\",\"args\":{\"name\":"
-                "\"barrier\"}}",
-                pid, kTidBarrier);
-        for (std::size_t c = 0; c < num_cells; ++c) {
-            w.event("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-                    "\"name\":\"thread_name\",\"args\":{\"name\":"
-                    "\"cell%zu\"}}",
-                    pid, kTidCellBase + static_cast<int>(c), c);
-        }
-    }
 }
 
-/**
- * Emit one record. @p tid_override >= 0 routes the event onto that
- * track (per-cell emission) instead of the record family's track.
- */
-void writeRecord(LineWriter &w, int pid, const TraceRecord &r,
-                 int tid_override = -1)
+/** Emit one record on its record family's track. */
+void writeRecord(LineWriter &w, int pid, const TraceRecord &r)
 {
     const auto kind = static_cast<TraceKind>(r.kind);
-    const int tid = tid_override >= 0 ? tid_override : chromeTid(kind);
+    const int tid = chromeTid(kind);
     const long long ts = toUs(r.time);
-    if (isBarrierPhase(kind)) {
-        // Phase span: arg carries the span's duration in ms. The
-        // serial phases are zero-length in simulated time and nest
-        // inside the interval-long parallel-cells span.
-        w.event("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%lld,"
-                "\"dur\":%lld,\"name\":\"%s\",\"cat\":\"barrier\","
-                "\"args\":{\"interval\":%u}}",
-                pid, tid, ts, toUs(static_cast<TimeMs>(r.arg)),
-                traceKindName(kind), static_cast<unsigned>(r.fn));
-        return;
-    }
     switch (kind) {
     case TraceKind::WarmStart:
         // Duration event: arg carries the execution time in ms.
@@ -260,22 +214,10 @@ void writeChromeTrace(std::ostream &out, const std::vector<TraceRun> &runs)
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const TraceRun &run = runs[i];
         const int pid = static_cast<int>(i) + 1;
-        writeRunMetadata(w, pid, run.name, run.cells.size());
+        writeRunMetadata(w, pid, run.name);
         if (run.trace != nullptr) {
             for (std::size_t j = 0; j < run.trace->size(); ++j) {
                 writeRecord(w, pid, run.trace->at(j));
-            }
-        }
-        // Per-cell rings of a sharded run, merged in cell order: one
-        // tid track per cell. The cell order (not the worker count)
-        // fixes the output bytes.
-        for (std::size_t c = 0; c < run.cells.size(); ++c) {
-            const TraceSink *cell = run.cells[c];
-            if (cell == nullptr)
-                continue;
-            const int tid = kTidCellBase + static_cast<int>(c);
-            for (std::size_t j = 0; j < cell->size(); ++j) {
-                writeRecord(w, pid, cell->at(j), tid);
             }
         }
         if (run.probes != nullptr) {

@@ -59,18 +59,10 @@ enum class TraceKind : std::uint8_t
     WarmupWasted,      //!< prewarmed instance destroyed unused
     Eviction,          //!< idle container evicted under pressure
     Expiry,            //!< keep-alive lapsed (arg = idle ms)
-
-    // Barrier phases of a sharded run, recorded by the coordinator
-    // into the run's own sink (cells record lifecycle events into
-    // their per-cell rings). Exported as duration spans on a
-    // dedicated "barrier" track; arg = span duration in ms.
-    PhaseSerialBarrier, //!< serial policy hooks at the barrier
-    PhaseProbeSample,   //!< aggregate probe sampling at the barrier
-    PhaseParallelCells, //!< parallel per-cell body phase (arg = ms)
 };
 
 /** Number of TraceKind enumerators (for per-kind counters). */
-inline constexpr std::size_t kNumTraceKinds = 13;
+inline constexpr std::size_t kNumTraceKinds = 10;
 
 /** Why an invocation cold-started (mirrors the metrics split). */
 enum class ColdCause : std::uint8_t
@@ -177,23 +169,14 @@ struct TraceRun
     std::string name;                    //!< Chrome process name
     const TraceSink *trace = nullptr;    //!< may be null (probes only)
     const ProbeTable *probes = nullptr;  //!< emitted as counter events
-    /**
-     * Per-cell rings of a sharded run, in cell order (empty for
-     * classic runs). Cell c's records are emitted on one dedicated
-     * tid track named "cellC"; the run's own `trace` then carries the
-     * coordinator's barrier-phase spans on the "barrier" track.
-     */
-    std::vector<const TraceSink *> cells;
 };
 
 /**
  * Write runs as one Chrome trace_event JSON document: each run
  * becomes a process (pid = position + 1) with named threads per
  * record family, cold/warm starts as duration events, the remaining
- * records as instants, and probe samples as counter tracks. Sharded
- * runs additionally get a "barrier" track of phase spans and one
- * "cellC" track per cell (see TraceRun::cells). Output bytes depend
- * only on @p runs (deterministic formatting).
+ * records as instants, and probe samples as counter tracks. Output
+ * bytes depend only on @p runs (deterministic formatting).
  */
 void writeChromeTrace(std::ostream &out,
                       const std::vector<TraceRun> &runs);

@@ -52,12 +52,6 @@ class FaasCachePolicy : public sim::Policy
     void onEviction(FunctionId fn, Tier tier, TimeMs now) override;
     TimeMs overheadMs() const override { return config_.overhead_ms; }
 
-    // NOT shardCompatible (keeps the Policy default of false): the
-    // greedy-dual clock_ is cross-function shared state read by
-    // evictionPriority and advanced by onEviction mid-interval, so
-    // concurrent cells would race on it. The sharded engine runs this
-    // scheme's cells serially in cell order instead.
-
     /** Current greedy-dual clock (exposed for tests). */
     double clock() const { return clock_; }
 

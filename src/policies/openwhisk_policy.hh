@@ -32,9 +32,6 @@ class OpenWhiskPolicy : public sim::Policy
 
     const char *name() const override { return "openwhisk"; }
 
-    /** The only hook reads an immutable constant. */
-    bool shardCompatible() const override { return true; }
-
     TimeMs
     keepAliveAfterExecutionMs(FunctionId fn, Tier tier,
                               TimeMs now) override

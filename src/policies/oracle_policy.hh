@@ -36,12 +36,6 @@ class OraclePolicy : public sim::OfflinePolicy
     void onIntervalStart(IntervalIndex interval,
                          sim::WarmupInterface &cluster) override;
 
-    /**
-     * keepAliveAfterExecutionMs is a constant; the schedule cursors
-     * advance only in onIntervalStart (a barrier hook).
-     */
-    bool shardCompatible() const override { return true; }
-
     TimeMs
     keepAliveAfterExecutionMs(FunctionId fn, Tier tier, TimeMs now)
         override

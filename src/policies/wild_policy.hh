@@ -51,12 +51,6 @@ class WildPolicy : public sim::Policy
                                      TimeMs now) override;
     TimeMs overheadMs() const override { return config_.overhead_ms; }
 
-    /**
-     * keepAliveAfterExecutionMs reads only functions_[fn], whose
-     * state is written exclusively in the interval hooks.
-     */
-    bool shardCompatible() const override { return true; }
-
   private:
     struct FunctionState
     {

@@ -127,15 +127,6 @@ class DecisionEngine final : public sim::Policy
     {
         return policy_->overheadMs();
     }
-    /**
-     * The engine adds no mid-interval state of its own (decision
-     * recording happens inside onIntervalStart, a barrier hook), so
-     * shard compatibility is exactly the wrapped policy's.
-     */
-    bool shardCompatible() const override
-    {
-        return policy_->shardCompatible();
-    }
 
     // ------------------------------------------- serving façade
     // Standalone mode: the caller is the driver. No trace, no

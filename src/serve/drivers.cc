@@ -9,7 +9,6 @@
 
 #include "obs/recorder.hh"
 #include "serve/stats_exporter.hh"
-#include "sim/sharded_simulator.hh"
 
 namespace iceb::serve
 {
@@ -37,8 +36,6 @@ SimDriver::SimDriver(
 sim::SimulationMetrics
 SimDriver::run()
 {
-    // runSimulation dispatches on options_.shards: the classic
-    // engine at 0, the sharded engine otherwise.
     if (source_ != nullptr) {
         return sim::runSimulation(*source_, profiles_, cluster_,
                                   engine_, options_);
@@ -74,16 +71,6 @@ ReplayDriver::run()
         sim_options.recorder = &*own_recorder;
     }
 
-    std::optional<obs::ProbeCsvStreamer> streamer;
-    const auto attachStreamer = [&] {
-        if (options_.probe_csv != nullptr &&
-            sim_options.recorder != nullptr &&
-            sim_options.recorder->probeTable() != nullptr) {
-            streamer.emplace(*options_.probe_csv, options_.run_label,
-                             *sim_options.recorder->probeTable());
-        }
-    };
-
     using Clock = std::chrono::steady_clock;
     const Clock::time_point wall_start = Clock::now();
     const bool paced = options_.acceleration > 0.0;
@@ -112,95 +99,55 @@ ReplayDriver::run()
         options_.stats->update(snap);
     };
 
-    // Bound by each engine branch to its live simulator.
-    std::function<sim::LiveCounters()> live_counters;
+    sim::Simulator simulator(trace_, profiles_, cluster_, engine_,
+                             sim_options);
+    simulator.start();
+    std::optional<obs::ProbeCsvStreamer> streamer;
+    if (options_.probe_csv != nullptr && sim_options.recorder != nullptr &&
+        sim_options.recorder->probeTable() != nullptr) {
+        streamer.emplace(*options_.probe_csv, options_.run_label,
+                         *sim_options.recorder->probeTable());
+    }
 
-    const auto reportIntervals = [&](std::size_t &seen,
-                                     std::size_t started,
-                                     TimeMs sim_now) {
-        const bool advanced = seen < started;
-        while (seen < started) {
+    std::size_t intervals_seen = 0;
+    bool more = true;
+    while (more) {
+        if (paced) {
+            if (const std::optional<TimeMs> next =
+                    simulator.nextEventTime())
+                sleepUntilSimTime(*next);
+        }
+        more = simulator.step();
+
+        // An interval boundary was processed: stream its probes and
+        // report progress before the next unit of work.
+        const std::size_t started = simulator.intervalsStarted();
+        const bool advanced = intervals_seen < started;
+        while (intervals_seen < started) {
             if (streamer)
                 streamer->flush();
             if (options_.on_interval) {
                 ReplayProgress progress;
-                progress.interval = static_cast<IntervalIndex>(seen);
-                progress.sim_time_ms = sim_now;
+                progress.interval =
+                    static_cast<IntervalIndex>(intervals_seen);
+                progress.sim_time_ms = simulator.now();
                 progress.decisions = engine_.decisionCount();
                 options_.on_interval(progress);
             }
-            ++seen;
+            ++intervals_seen;
         }
-        if (advanced && options_.stats != nullptr)
-            publishStats(started, sim_now, live_counters());
-    };
-
-    sim::SimulationMetrics metrics;
-    if (sim_options.shards > 0) {
-        // Sharded replay paces at decision-interval granularity: the
-        // sharded engine's external step is the barrier, not the
-        // single event.
-        sim::ShardedSimulator simulator(trace_, profiles_, cluster_,
-                                        engine_, sim_options);
-        simulator.start();
-        attachStreamer();
-        live_counters = [&simulator] { return simulator.liveCounters(); };
-
-        std::size_t intervals_seen = 0;
-        bool more = true;
-        while (more) {
-            if (paced) {
-                if (const std::optional<TimeMs> next =
-                        simulator.nextBarrierTime())
-                    sleepUntilSimTime(*next);
-            }
-            more = simulator.advanceInterval();
-            reportIntervals(intervals_seen,
-                            simulator.intervalsStarted(),
-                            simulator.now());
+        if (advanced && options_.stats != nullptr) {
+            publishStats(started, simulator.now(),
+                         simulator.liveCounters());
         }
-        // Counters must be snapshotted before finish() consumes the
-        // cells' metrics; the recorder's merged histograms land in the
-        // final publish below, after finish() pools them.
-        const sim::LiveCounters final_counters =
-            options_.stats != nullptr ? simulator.liveCounters()
-                                      : sim::LiveCounters{};
-        metrics = simulator.finish();
-        if (options_.stats != nullptr) {
-            publishStats(simulator.intervalsStarted(), simulator.now(),
-                         final_counters);
-        }
-    } else {
-        sim::Simulator simulator(trace_, profiles_, cluster_, engine_,
-                                 sim_options);
-        simulator.start();
-        attachStreamer();
-        live_counters = [&simulator] { return simulator.liveCounters(); };
-
-        std::size_t intervals_seen = 0;
-        bool more = true;
-        while (more) {
-            if (paced) {
-                if (const std::optional<TimeMs> next =
-                        simulator.nextEventTime())
-                    sleepUntilSimTime(*next);
-            }
-            more = simulator.step();
-
-            // An interval boundary was processed: stream its probes
-            // and report progress before the next unit of work.
-            reportIntervals(intervals_seen,
-                            simulator.intervalsStarted(),
-                            simulator.now());
-        }
-        const sim::LiveCounters final_counters =
-            options_.stats != nullptr ? simulator.liveCounters()
-                                      : sim::LiveCounters{};
-        metrics = simulator.finish();
-        if (options_.stats != nullptr) {
-            publishStats(simulator.intervalsStarted(), simulator.now(),
-                         final_counters);
-        }
+    }
+    const sim::LiveCounters final_counters = options_.stats != nullptr
+        ? simulator.liveCounters()
+        : sim::LiveCounters{};
+    sim::SimulationMetrics metrics = simulator.finish();
+    if (options_.stats != nullptr) {
+        publishStats(simulator.intervalsStarted(), simulator.now(),
+                     final_counters);
     }
     if (streamer)
         streamer->flush();
@@ -211,8 +158,6 @@ ReplayDriver::run()
         runs[0].name = options_.run_label;
         runs[0].trace = sim_options.recorder->traceSinkIfEnabled();
         runs[0].probes = sim_options.recorder->probeTableIfEnabled();
-        for (const auto &cell : sim_options.recorder->cellTraceSinks())
-            runs[0].cells.push_back(cell.get());
         obs::writeChromeTrace(*options_.chrome_trace, runs);
     }
     return metrics;

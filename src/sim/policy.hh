@@ -234,24 +234,7 @@ class Policy
      */
     virtual TimeMs overheadMs() const { return 0; }
 
-    /**
-     * Opt-in for the sharded engine's parallel phase. Return true only
-     * when every mid-interval hook — onExecutionStart,
-     * keepAliveAfterExecutionMs, coldPlacementOrder, evictionPriority,
-     * onWarmupWasted, onEviction, overheadMs — touches nothing but
-     * per-function state (disjoint across functions) and state that is
-     * written exclusively from the interval hooks (initialize /
-     * onIntervalObserved / onIntervalStart). The sharded engine runs
-     * its cells concurrently between interval barriers and may invoke
-     * the mid-interval hooks from several threads at once for
-     * functions in different cells; the interval hooks always run
-     * serially on the coordinator at the barrier, so barrier-written
-     * shared state may be read freely mid-interval. Policies that
-     * cannot promise this keep the default: the sharded engine then
-     * executes its cells serially in cell order — results stay
-     * deterministic and identical for every worker count, there is
-     * just no intra-run speedup.
-     */
+    /** Unused by the engine; perfbench/cc/probes.hh overrides it. */
     virtual bool shardCompatible() const { return false; }
 
   protected:

@@ -7,7 +7,6 @@
 #include "common/rng.hh"
 #include "obs/probes.hh"
 #include "obs/recorder.hh"
-#include "sim/sharded_simulator.hh"
 
 namespace iceb::sim
 {
@@ -86,13 +85,6 @@ Simulator::Simulator(
         cluster_.setTraceSink(tsink_);
         if (probes_ != nullptr)
             probes_->reserve(num_intervals_, num_functions_);
-    } else {
-        // Direct overrides: how the sharded coordinator threads each
-        // cell's private ring / histogram set through (probes stay
-        // coordinator-sampled at the barrier).
-        tsink_ = options_.trace_sink;
-        hists_ = options_.histograms;
-        cluster_.setTraceSink(tsink_);
     }
 }
 
@@ -483,10 +475,6 @@ runSimulation(const trace::Trace &tr,
               const ClusterConfig &config, Policy &policy,
               SimulatorOptions options)
 {
-    if (options.shards > 0) {
-        ShardedSimulator sim(tr, profiles, config, policy, options);
-        return sim.run();
-    }
     Simulator sim(tr, profiles, config, policy, options);
     return sim.run();
 }
@@ -497,10 +485,6 @@ runSimulation(TraceSource &source,
               const ClusterConfig &config, Policy &policy,
               SimulatorOptions options)
 {
-    if (options.shards > 0) {
-        ShardedSimulator sim(source, profiles, config, policy, options);
-        return sim.run();
-    }
     Simulator sim(source, profiles, config, policy, options);
     return sim.run();
 }

@@ -65,45 +65,6 @@ struct SimulatorOptions
     obs::RunRecorder *recorder = nullptr;
 
     /**
-     * Direct sink overrides, used only when `recorder` is null. The
-     * sharded coordinator hands each cell its own trace ring and
-     * histogram set through these (cells never see the run's
-     * recorder — its sinks are not safe to share across the parallel
-     * cell phase). Borrowed; write-only like the recorder.
-     */
-    obs::TraceSink *trace_sink = nullptr;
-    obs::HistogramSet *histograms = nullptr;
-
-    /**
-     * Worker threads for the sharded engine; 0 (the default) runs the
-     * classic single-shard engine. Any value >= 1 switches
-     * runSimulation to the ShardedSimulator, whose results are
-     * byte-identical for every shards value (the logical cell
-     * partition is fixed by the workload/cluster geometry, never by
-     * the worker count). They can differ from the classic engine's
-     * only through the partitioned per-cell memory accounting (see
-     * sim/sharded_simulator.hh).
-     */
-    std::size_t shards = 0;
-
-    /**
-     * Logical cell count override for the sharded engine; 0 = auto
-     * (the max_cells ceiling, clamped to the smallest populated
-     * tier's server count and the function count). Results depend on
-     * this partition — it is part of the sharded model — but never on
-     * `shards`.
-     */
-    std::size_t cells = 0;
-
-    /**
-     * Ceiling for the auto cell count; 0 = the built-in default
-     * (ShardPlan::kDefaultCells). Large clusters can raise it to
-     * expose more parallelism than the historical 16-cell clamp;
-     * ignored when `cells` names an explicit count.
-     */
-    std::size_t max_cells = 0;
-
-    /**
      * Options for run @p run_index of a repeated-seed experiment: the
      * run's RNG stream is derived purely from (base_seed, run_index),
      * so a grid of runs is reproducible regardless of how runs are
@@ -117,8 +78,7 @@ struct SimulatorOptions
 
 /**
  * Scalar counter snapshot for live exporters (serve::StatsExporter):
- * cheap to assemble mid-run — no sample-vector copies — on both the
- * classic and sharded engines.
+ * cheap to assemble mid-run — no sample-vector copies.
  */
 struct LiveCounters
 {
@@ -199,38 +159,8 @@ class Simulator
     /** Current simulated time. */
     TimeMs now() const { return now_; }
 
-    // ----------------------------------------------------------------
-    // Accessors for the sharded coordinator (sharded_simulator.cc),
-    // which drives one Simulator per logical cell and needs to route
-    // barrier-time policy actions and probe sampling into them.
-    // ----------------------------------------------------------------
-
-    /** The cluster state this run schedules against. */
-    ClusterState &cluster() { return cluster_; }
-    const ClusterState &cluster() const { return cluster_; }
-
-    /** Metrics accrued so far (mid-run view; probe sampling). */
-    const SimulationMetrics &accruedMetrics() const
-    {
-        return metrics_.current();
-    }
-
-    /** Invocations currently parked in the FIFO wait queue. */
-    std::size_t waitingCount() const { return waitCount(); }
-
     /** Mid-run counter snapshot for live exporters. */
     LiveCounters liveCounters() const;
-
-    /**
-     * Arrival counts accumulated in the currently open interval (the
-     * counts the next IntervalObservation will deliver). The sharded
-     * engine reads these at its barrier, before the cell's tick has
-     * delivered and reset them.
-     */
-    const std::vector<std::uint32_t> &observedCounts() const
-    {
-        return observed_counts_;
-    }
 
   private:
     struct QueuedInvocation
@@ -318,10 +248,7 @@ class Simulator
     TimeMs now_ = 0;
 };
 
-/**
- * Convenience one-shot runner used by tests, examples and benches.
- * Dispatches to the ShardedSimulator when options.shards > 0.
- */
+/** Convenience one-shot runner used by tests, examples and benches. */
 SimulationMetrics
 runSimulation(const trace::Trace &tr,
               const std::vector<workload::FunctionProfile> &profiles,

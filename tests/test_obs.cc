@@ -129,7 +129,7 @@ TEST(ChromeTraceTest, ExportStructure)
     probes.addIntervalSample(s);
 
     std::ostringstream out;
-    obs::writeChromeTrace(out, {{"icebreaker", &sink, &probes, {}}});
+    obs::writeChromeTrace(out, {{"icebreaker", &sink, &probes}});
     const std::string doc = out.str();
 
     // Document shell + metadata.

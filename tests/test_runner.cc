@@ -2,15 +2,18 @@
  * @file
  * Tests for the parallel experiment engine: the policy registry, the
  * determinism contract (threaded == serial, bit for bit), metrics
- * merge correctness against whole-set collection, and replicate
- * aggregation.
+ * merge correctness against whole-set collection, replicate
+ * aggregation, and the named baseline-gate messages the benches print.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "common/rng.hh"
+#include "harness/baseline_gate.hh"
 #include "harness/registry.hh"
 #include "harness/runner.hh"
 #include "sim/metrics_summary.hh"
@@ -302,6 +305,66 @@ TEST(MetricsSummaryTest, SummarizeGridGroupsCells)
         EXPECT_EQ(cell.summary.pooled.invocations,
                   2 * workload.trace.totalInvocations());
     }
+}
+
+// ------------------------------------------- named baseline gates
+
+TEST(BaselineGateTest, RatioGateNamesMetricAndFloor)
+{
+    const harness::GateResult pass =
+        harness::gateRatio("speedup ratio", 2.5, 2.4, 0.02);
+    EXPECT_TRUE(pass.ok);
+    EXPECT_NE(pass.message.find("[speedup ratio]"), std::string::npos);
+    EXPECT_NE(pass.message.find("meets floor"), std::string::npos);
+
+    const harness::GateResult fail =
+        harness::gateRatio("speedup ratio", 2.0, 2.4, 0.02);
+    EXPECT_FALSE(fail.ok);
+    EXPECT_NE(fail.message.find("[speedup ratio]"), std::string::npos);
+    EXPECT_NE(fail.message.find("fell below floor"), std::string::npos);
+    EXPECT_NE(fail.message.find("2.00000"), std::string::npos);
+
+    // Exactly on the floor still passes.
+    EXPECT_TRUE(harness::gateRatio("r", 0.98, 1.0, 0.02).ok);
+}
+
+TEST(BaselineGateTest, DigestGateNamesMetricAndBothDigests)
+{
+    const harness::GateResult pass = harness::gateDigest(
+        "metrics digest", "0xabc", "0xabc");
+    EXPECT_TRUE(pass.ok);
+    EXPECT_NE(pass.message.find("[metrics digest]"), std::string::npos);
+
+    const harness::GateResult fail = harness::gateDigest(
+        "metrics digest", "0xabc", "0xdef");
+    EXPECT_FALSE(fail.ok);
+    EXPECT_NE(fail.message.find("[metrics digest]"), std::string::npos);
+    EXPECT_NE(fail.message.find("0xabc"), std::string::npos);
+    EXPECT_NE(fail.message.find("0xdef"), std::string::npos);
+}
+
+TEST(BaselineGateTest, FlatJsonScrapers)
+{
+    const std::string text = R"({
+  "speedup_vs_legacy": 2.625,
+  "sharded": {"metrics_digest": "0x74c3670947bc06f0", "workers": 4}
+})";
+    const std::optional<double> number =
+        harness::findJsonNumber(text, "speedup_vs_legacy");
+    ASSERT_TRUE(number.has_value());
+    EXPECT_DOUBLE_EQ(*number, 2.625);
+    EXPECT_EQ(harness::findJsonString(text, "metrics_digest"),
+              std::optional<std::string>("0x74c3670947bc06f0"));
+
+    EXPECT_FALSE(
+        harness::findJsonNumber(text, "no_such_key").has_value());
+    EXPECT_FALSE(
+        harness::findJsonString(text, "no_such_key").has_value());
+    // Type confusion is rejected, not coerced.
+    EXPECT_FALSE(
+        harness::findJsonNumber(text, "metrics_digest").has_value());
+    EXPECT_FALSE(
+        harness::findJsonString(text, "workers").has_value());
 }
 
 } // namespace

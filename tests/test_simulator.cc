@@ -2,8 +2,9 @@
  * @file
  * End-to-end simulator tests on small hand-crafted traces where the
  * expected accounting can be verified exactly: warm/cold splits under
- * the fixed keep-alive policy, Oracle behaviour, FIFO waiting, and
- * service-time composition.
+ * the fixed keep-alive policy, Oracle behaviour, FIFO waiting,
+ * service-time composition, tier spill-over, policy-ordered eviction
+ * and keep-alives that expire on an interval boundary.
  */
 
 #include <gtest/gtest.h>
@@ -384,6 +385,145 @@ TEST(SimulatorGoldenTest, MetricsHashMatchesSeedImplementation)
     EXPECT_EQ(hash, kSeedImplementationHash)
         << "sim-core refactor changed simulation output; hash is now 0x"
         << std::hex << hash;
+}
+
+TEST(SimulatorTest, ColdPlacementSpillsToOtherTierWhenFull)
+{
+    // The high-end tier fits a single container: a burst of two
+    // concurrent invocations must spill the second cold start to the
+    // low-end tier.
+    trace::Trace tr(3, kMsPerMinute);
+    trace::FunctionSeries series;
+    series.name = "f0";
+    series.memory_mb = 256;
+    series.avg_exec_ms = 70'000;
+    series.concurrency = {2, 0, 0};
+    tr.addFunction(series);
+    workload::FunctionProfile profile;
+    profile.name = "f0";
+    profile.memory_mb = 256;
+    profile.cold_start_ms = {1000, 1000};
+    // Executions outlast the interval, so the two arrivals overlap no
+    // matter where the jitter lands them: the second cannot reuse the
+    // first's container and must place cold.
+    profile.exec_ms = {70'000, 70'000};
+    const std::vector<workload::FunctionProfile> profiles = {profile};
+    const ClusterConfig cluster = smallCluster(256, 4096);
+
+    policies::OpenWhiskPolicy policy;
+    const SimulationMetrics m =
+        runSimulation(tr, profiles, cluster, policy);
+
+    // One service on each tier: the spillover happened.
+    EXPECT_EQ(m.service_times_high_ms.size(), 1u);
+    EXPECT_EQ(m.service_times_low_ms.size(), 1u);
+}
+
+/**
+ * Deterministic eviction order: priority == function id, so the
+ * lowest id is always reclaimed first; records victims for the test.
+ */
+class EvictLowestIdPolicy : public policies::OpenWhiskPolicy
+{
+  public:
+    double evictionPriority(FunctionId fn, Tier, TimeMs,
+                            TimeMs) override
+    {
+        return static_cast<double>(fn);
+    }
+
+    void onEviction(FunctionId fn, Tier, TimeMs) override
+    {
+        victims.push_back(fn);
+    }
+
+    std::vector<FunctionId> victims;
+};
+
+TEST(SimulatorTest, EvictionOrderFollowsPolicyPriority)
+{
+    // Three idle containers (fns 0..2) fill the only server; a burst
+    // from fn 3 must evict them in priority order 0, 1, 2.
+    trace::Trace tr(12, kMsPerMinute);
+    std::vector<workload::FunctionProfile> profiles;
+    for (std::size_t fn = 0; fn < 4; ++fn) {
+        trace::FunctionSeries series;
+        series.name = "f" + std::to_string(fn);
+        series.memory_mb = 256;
+        series.avg_exec_ms = 1000;
+        series.concurrency.assign(12, 0);
+        if (fn < 3)
+            series.concurrency[0] = 1; // idle residents after iv 0
+        else
+            series.concurrency[2] = 3; // the evicting burst
+        tr.addFunction(series);
+        workload::FunctionProfile profile;
+        profile.name = series.name;
+        profile.memory_mb = 256;
+        profile.cold_start_ms = {1000, 1000};
+        // Residents finish fast and sit idle; the burst's executions
+        // outlast the interval so its three arrivals need three
+        // simultaneous containers regardless of jitter.
+        const TimeMs exec = fn < 3 ? 1000 : 70'000;
+        profile.exec_ms = {exec, exec};
+        profiles.push_back(profile);
+    }
+    const ClusterConfig cluster = smallCluster(3 * 256, 0);
+
+    EvictLowestIdPolicy policy;
+    (void)runSimulation(tr, profiles, cluster, policy);
+    ASSERT_EQ(policy.victims.size(), 3u);
+    EXPECT_EQ(policy.victims[0], 0u);
+    EXPECT_EQ(policy.victims[1], 1u);
+    EXPECT_EQ(policy.victims[2], 2u);
+}
+
+/** Grants keep-alives that expire exactly ON the next interval start. */
+class BoundaryKeepAlivePolicy : public policies::OpenWhiskPolicy
+{
+  public:
+    TimeMs keepAliveAfterExecutionMs(FunctionId, Tier,
+                                     TimeMs now) override
+    {
+        const TimeMs next_boundary =
+            (now / kMsPerMinute + 1) * kMsPerMinute;
+        return next_boundary - now;
+    }
+};
+
+TEST(SimulatorTest, KeepAliveExpiringOnIntervalBoundaryIsDeterministic)
+{
+    // An expiry event carries the interval boundary's own timestamp,
+    // so it must sort against the next interval's prewarms and
+    // arrivals identically on every run.
+    trace::Trace tr(16, kMsPerMinute);
+    trace::FunctionSeries series;
+    series.name = "fn0";
+    series.memory_mb = 128;
+    series.avg_exec_ms = 500;
+    for (std::uint32_t iv = 0; iv < 16; ++iv)
+        series.concurrency.push_back(1 + iv % 4);
+    tr.addFunction(series);
+    workload::FunctionProfile profile;
+    profile.name = series.name;
+    profile.memory_mb = 128;
+    profile.cold_start_ms = {800, 2500};
+    profile.exec_ms = {500, 1000};
+    const std::vector<workload::FunctionProfile> profiles = {profile};
+    ClusterConfig cluster = defaultHeterogeneousCluster();
+    cluster.spec(Tier::HighEnd).server_count = 6;
+    cluster.spec(Tier::HighEnd).memory_per_server_mb = 4096;
+    cluster.spec(Tier::LowEnd).server_count = 9;
+    cluster.spec(Tier::LowEnd).memory_per_server_mb = 3072;
+
+    const auto run = [&] {
+        BoundaryKeepAlivePolicy policy;
+        return runSimulation(tr, profiles, cluster, policy);
+    };
+    const SimulationMetrics first = run();
+    const SimulationMetrics second = run();
+    EXPECT_EQ(hashMetrics(0xcbf29ce484222325ull, first),
+              hashMetrics(0xcbf29ce484222325ull, second));
 }
 
 TEST(SimulatorTest, HighTierPreferredWhileItHasRoom)

@@ -6,12 +6,12 @@
  * ingest, external-memory spill sort, k-way window merge — feeds the
  * engine EXACTLY the arrival windows a MaterializedTraceSource built
  * from the same workload would, record for record, and therefore
- * every simulation result is identical between the two paths: classic
- * engine, sharded engine at any worker count, CSV-ingested workloads,
- * forced-spill chunking, and repeated runs off one rewound source.
+ * every simulation result is identical between the two paths:
+ * CSV-ingested workloads, forced-spill chunking, repeated runs off one
+ * rewound source, and concurrent streamed runs on outside threads.
  * Satellites pin the streamed profile matching, the SeBS benchmark
- * categories, the --max-cells shard-plan clamp, and the line/column
- * diagnostics of the chunked CSV reader.
+ * categories, and the line/column diagnostics of the chunked CSV
+ * reader.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "core/icebreaker.hh"
 #include "harness/registry.hh"
 #include "policies/openwhisk_policy.hh"
-#include "sim/sharded_simulator.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_source.hh"
 #include "trace/azure_loader.hh"
@@ -285,7 +284,7 @@ TEST(TraceSourceTest, CsvStreamMatchesMaterializedLoader)
 {
     // The fixture CSV is a serialized small synthetic trace: the
     // loader path materializes it, the stream path never does; both
-    // must produce identical runs in the classic AND sharded engines.
+    // must produce identical runs.
     trace::SyntheticConfig config = smallConfig();
     config.num_functions = 24;
     const trace::Trace original =
@@ -299,26 +298,20 @@ TEST(TraceSourceTest, CsvStreamMatchesMaterializedLoader)
         profilesForTrace(loaded);
     const ClusterConfig cluster = testCluster();
 
-    for (std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
-        policies::OpenWhiskPolicy mat_policy;
-        SimulatorOptions options;
-        options.shards = shards;
-        const SimulationMetrics reference = runSimulation(
-            loaded, profiles, cluster, mat_policy, options);
+    policies::OpenWhiskPolicy mat_policy;
+    const SimulationMetrics reference =
+        runSimulation(loaded, profiles, cluster, mat_policy);
 
-        std::istringstream stream_in(csv.str());
-        trace::AzureCsvRowStream rows(stream_in);
-        StreamingSourceOptions tiny;
-        tiny.chunk_records = 32;
-        StreamingWorkloadSource source(rows, tiny);
-        EXPECT_GT(source.spillRuns(), 0u);
-        policies::OpenWhiskPolicy stream_policy;
-        const SimulationMetrics streamed = runSimulation(
-            source, profiles, cluster, stream_policy, options);
-
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectMetricsIdentical(reference, streamed);
-    }
+    std::istringstream stream_in(csv.str());
+    trace::AzureCsvRowStream rows(stream_in);
+    StreamingSourceOptions tiny;
+    tiny.chunk_records = 32;
+    StreamingWorkloadSource source(rows, tiny);
+    EXPECT_GT(source.spillRuns(), 0u);
+    policies::OpenWhiskPolicy stream_policy;
+    const SimulationMetrics streamed =
+        runSimulation(source, profiles, cluster, stream_policy);
+    expectMetricsIdentical(reference, streamed);
 }
 
 TEST(AzureCsvStreamDeathTest, ReportsLineAndColumnOfBadCount)
@@ -347,42 +340,12 @@ TEST(AzureCsvStreamDeathTest, ReportsLineOfShortRow)
                 "line 3.*minute columns");
 }
 
-// --------------------------------------- sharded + threaded identity
-// (ShardStream* runs under the CI TSan job's Shard* filter: the cell
-// pool's worker threads and the runner-style outer threads both race
-// through the streamed window scatter here.)
+// ------------------------------------------------- threaded identity
+// (Runs under the CI TSan job's TraceSource* filter: each outside
+// thread's SyntheticRowStream fills its batches on the shared
+// executor while the other threads do the same.)
 
-TEST(ShardStreamTest, ShardedStreamedMatchesShardedMaterialized)
-{
-    const trace::SyntheticConfig config = smallConfig();
-    const trace::Trace tr =
-        trace::SyntheticTraceGenerator(config).generate();
-    const std::vector<workload::FunctionProfile> profiles =
-        profilesForTrace(tr);
-    const ClusterConfig cluster = testCluster();
-
-    for (std::size_t workers :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        core::IceBreakerPolicy mat_policy;
-        SimulatorOptions options;
-        options.shards = workers;
-        const SimulationMetrics reference = runSimulation(
-            tr, profiles, cluster, mat_policy, options);
-
-        StreamingSourceOptions tiny;
-        tiny.chunk_records = 64;
-        trace::SyntheticRowStream rows(config);
-        StreamingWorkloadSource source(rows, tiny);
-        core::IceBreakerPolicy stream_policy;
-        const SimulationMetrics streamed = runSimulation(
-            source, profiles, cluster, stream_policy, options);
-
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        expectMetricsIdentical(reference, streamed);
-    }
-}
-
-TEST(ShardStreamTest, ConcurrentStreamedRunsAgree)
+TEST(TraceSourceTest, ConcurrentStreamedRunsAgree)
 {
     const trace::SyntheticConfig config = smallConfig();
     const trace::Trace tr =
@@ -392,13 +355,11 @@ TEST(ShardStreamTest, ConcurrentStreamedRunsAgree)
     const ClusterConfig cluster = testCluster();
 
     core::IceBreakerPolicy reference_policy;
-    SimulatorOptions options;
-    options.shards = 2;
-    const SimulationMetrics reference = runSimulation(
-        tr, profiles, cluster, reference_policy, options);
+    const SimulationMetrics reference =
+        runSimulation(tr, profiles, cluster, reference_policy);
 
     // Each outer thread owns its own source and policy (the runner's
-    // usage pattern); the sharded cell pool runs underneath each.
+    // usage pattern).
     std::vector<SimulationMetrics> results(3);
     std::vector<std::thread> pool;
     for (std::size_t t = 0; t < results.size(); ++t) {
@@ -406,10 +367,7 @@ TEST(ShardStreamTest, ConcurrentStreamedRunsAgree)
             trace::SyntheticRowStream rows(config);
             StreamingWorkloadSource source(rows);
             core::IceBreakerPolicy policy;
-            SimulatorOptions thread_options;
-            thread_options.shards = 2;
-            results[t] = runSimulation(source, profiles, cluster,
-                                       policy, thread_options);
+            results[t] = runSimulation(source, profiles, cluster, policy);
         });
     }
     for (std::thread &worker : pool)
@@ -417,54 +375,6 @@ TEST(ShardStreamTest, ConcurrentStreamedRunsAgree)
     for (std::size_t t = 0; t < results.size(); ++t) {
         SCOPED_TRACE("thread " + std::to_string(t));
         expectMetricsIdentical(reference, results[t]);
-    }
-}
-
-// ----------------------------------------------- max-cells shard plan
-
-TEST(ShardStreamTest, MaxCellsClampsThePlan)
-{
-    ClusterConfig cluster = defaultHeterogeneousCluster();
-    cluster.spec(Tier::HighEnd).server_count = 32;
-    cluster.spec(Tier::LowEnd).server_count = 32;
-
-    // Auto ceiling is kDefaultCells; max_cells lowers it.
-    EXPECT_EQ(ShardPlan::build(1000, cluster).num_cells,
-              ShardPlan::kDefaultCells);
-    EXPECT_EQ(ShardPlan::build(1000, cluster, 0, 4).num_cells, 4u);
-    // Geometry still clamps below the ceiling: few functions...
-    EXPECT_EQ(ShardPlan::build(3, cluster, 0, 8).num_cells, 3u);
-    // ...or a small populated tier.
-    cluster.spec(Tier::LowEnd).server_count = 2;
-    EXPECT_EQ(ShardPlan::build(1000, cluster, 0, 8).num_cells, 2u);
-}
-
-TEST(ShardStreamTest, MaxCellsKeepsWorkerCountInvariance)
-{
-    const trace::SyntheticConfig config = smallConfig();
-    const trace::Trace tr =
-        trace::SyntheticTraceGenerator(config).generate();
-    const std::vector<workload::FunctionProfile> profiles =
-        profilesForTrace(tr);
-    const ClusterConfig cluster = testCluster();
-
-    // A fixed cell partition (here capped at 3) must produce
-    // identical results at every worker count.
-    SimulationMetrics reference;
-    for (std::size_t workers :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        core::IceBreakerPolicy policy;
-        SimulatorOptions options;
-        options.shards = workers;
-        options.max_cells = 3;
-        const SimulationMetrics metrics =
-            runSimulation(tr, profiles, cluster, policy, options);
-        if (workers == 1) {
-            reference = metrics;
-            continue;
-        }
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        expectMetricsIdentical(reference, metrics);
     }
 }
 
