@@ -73,15 +73,18 @@ struct IceBreakerConfig
 
     /**
      * Batched-FIP knobs, forwarded to the ForecastPool. The default
-     * (exact mode, one thread) is bit-identical to forecasting through
-     * per-function FftPredictor instances; fip_fast_batch opts into
-     * the rotation-recurrence fast path (<= 1e-9 per forecast, the
-     * "icebreaker-fastfip" registry scheme). fip_threads > 1
-     * forecasts blocks in parallel and stays byte-identical for any
-     * thread count.
+     * exact mode is bit-identical to forecasting through per-function
+     * FftPredictor instances; fip_fast_batch opts into the
+     * rotation-recurrence fast path (<= 1e-9 per forecast, the
+     * "icebreaker-fastfip" registry scheme). fip_threads is the
+     * forecast width: blocks are forecast as that many executor
+     * participants, 1 runs them inline and the default 0 means the
+     * hardware thread count. Inside a runner grid the forecast runs
+     * on its own worker plus whichever workers the other runs left
+     * parked. Forecasts are byte-identical for any width.
      */
     bool fip_fast_batch = false;
-    std::size_t fip_threads = 1;
+    std::size_t fip_threads = 0;
 };
 
 /**

@@ -32,29 +32,6 @@ LatencyHistogram::quantile(double q) const noexcept
     return max_;
 }
 
-void
-LatencyHistogram::merge(const LatencyHistogram &other) noexcept
-{
-    for (std::size_t i = 0; i < kNumBuckets; ++i)
-        counts_[i] += other.counts_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.max_ > max_)
-        max_ = other.max_;
-}
-
-void
-HistogramSet::merge(const HistogramSet &other) noexcept
-{
-    for (std::size_t t = 0; t < kNumTiers; ++t) {
-        cold_start_ms[t].merge(other.cold_start_ms[t]);
-        setup_attach_ms[t].merge(other.setup_attach_ms[t]);
-        wait_queue_ms[t].merge(other.wait_queue_ms[t]);
-    }
-    decision_wall_us.merge(other.decision_wall_us);
-    forecast_wall_us.merge(other.forecast_wall_us);
-}
-
 bool
 HistogramSet::empty() const noexcept
 {

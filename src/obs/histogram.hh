@@ -12,10 +12,6 @@
  *    log-linear bucketing (kSubBits sub-buckets per power of two)
  *    into a fixed std::array, so a hinted run with histograms enabled
  *    still performs zero steady-state allocations.
- *  - merge() is plain integer bucket addition — associative and
- *    commutative exactly, the same discipline as
- *    SimulationMetrics::merge() — so a merged set is the same
- *    regardless of merge order.
  *  - Values are unsigned integers in a caller-chosen unit (simulated
  *    ms for latency series, wall-clock µs for the decision/forecast
  *    timers). Values 0..2^kSubBits-1 land in exact singleton buckets;
@@ -115,9 +111,6 @@ class LatencyHistogram
      */
     std::uint64_t quantile(double q) const noexcept;
 
-    /** Pool @p other in: exact integer addition, order-independent. */
-    void merge(const LatencyHistogram &other) noexcept;
-
   private:
     static unsigned countLeadingZeros(std::uint64_t v) noexcept
     {
@@ -156,9 +149,6 @@ struct HistogramSet
 
     /** Measure wall time around interval hooks (non-deterministic). */
     bool wall_timing = false;
-
-    /** Pool @p other in (bucket addition; wall_timing untouched). */
-    void merge(const HistogramSet &other) noexcept;
 
     /** Any values recorded at all? */
     bool empty() const noexcept;

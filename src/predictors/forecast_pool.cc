@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "common/executor.hh"
 #include "common/logging.hh"
@@ -32,7 +33,8 @@ ForecastPool::ForecastPool(ForecastPoolOptions options)
     : options_(options)
 {
     if (options_.threads == 0)
-        options_.threads = 1;
+        options_.threads =
+            std::max(1u, std::thread::hardware_concurrency());
 }
 
 std::size_t
@@ -219,11 +221,12 @@ ForecastPool::forecastAll(std::size_t horizon)
         threads = 1;
     workers_.resize(std::max(workers_.size(), threads));
 
-    // The shared executor runs task i on worker i mod T, so scratch
-    // i mod T is private to whichever thread runs it (one thread, or
-    // a call from inside an executor task, runs every task inline).
-    // Every lane's output region is disjoint, so the partition affects
-    // scheduling only, never values.
+    // The shared executor runs task i as participant i mod T, on one
+    // thread in ascending order, so scratch i mod T is private to
+    // whichever thread runs it -- a worker, or the caller of a call
+    // from inside an executor task, which shares participants with
+    // parked workers. Every lane's output region is disjoint, so the
+    // partition affects scheduling only, never values.
     TaskExecutor::shared().run(
         tasks_.size(), threads, [this, threads](std::size_t i) {
             runBlock(groups_[tasks_[i].group], tasks_[i],

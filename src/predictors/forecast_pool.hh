@@ -8,7 +8,7 @@
  * drives block transforms over many functions at once. forecastAll()
  * forecasts kLanes functions per block through the SoA kernels in
  * forecast_kernels.cc, optionally thread-parallel on the shared
- * TaskExecutor: blocks are assigned to workers by a fixed interleaving
+ * TaskExecutor: blocks go to participants by a fixed interleaving
  * of a deterministic task list and every lane's arithmetic is
  * lane-local, so results are byte-identical for any --threads value.
  *
@@ -53,8 +53,9 @@ struct ForecastPoolOptions
     bool fast_path = false;
 
     /**
-     * Executor workers for forecastAll (1 = inline). A call from
-     * inside an executor task runs inline whatever this says.
+     * Executor participants for forecastAll (1 = inline, 0 = the
+     * hardware thread count). A call from inside an executor task
+     * runs on its caller plus whichever workers are parked.
      */
     std::size_t threads = 1;
 };

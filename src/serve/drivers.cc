@@ -92,6 +92,7 @@ ReplayDriver::run()
         snap.intervals_started = started;
         snap.sim_time_ms = sim_now;
         snap.decisions = engine_.decisionCount();
+        snap.rejected_arrivals = engine_.rejectedArrivals();
         snap.counters = counters;
         snap.histograms = sim_options.recorder != nullptr
             ? sim_options.recorder->histograms()

@@ -80,6 +80,11 @@ renderPrometheus(const StatsSnapshot &snap)
     out += "# TYPE icebreaker_decisions_total counter\n";
     appendf(out, "icebreaker_decisions_total{run=\"%s\"} %" PRIu64 "\n",
             run, snap.decisions);
+    out += "# TYPE icebreaker_rejected_arrivals_total counter\n";
+    appendf(out,
+            "icebreaker_rejected_arrivals_total{run=\"%s\"} %" PRIu64
+            "\n",
+            run, snap.rejected_arrivals);
 
     if (snap.histograms != nullptr) {
         out += "# TYPE icebreaker_latency summary\n";
@@ -124,6 +129,8 @@ renderStatsJson(const StatsSnapshot &snap)
     appendf(out, "\"sim_time_ms\":%lld,",
             static_cast<long long>(snap.sim_time_ms));
     appendf(out, "\"decisions\":%" PRIu64 ",", snap.decisions);
+    appendf(out, "\"rejected_arrivals\":%" PRIu64 ",",
+            snap.rejected_arrivals);
     appendf(out, "\"invocations\":%" PRIu64 ",",
             snap.counters.invocations);
     appendf(out, "\"cold_starts\":%" PRIu64 ",",

@@ -48,6 +48,8 @@ struct StatsSnapshot
     std::uint64_t intervals_started = 0;
     TimeMs sim_time_ms = 0;
     std::uint64_t decisions = 0;
+    /** Arrivals the engine refused (DecisionEngine::rejectedArrivals). */
+    std::uint64_t rejected_arrivals = 0;
     sim::LiveCounters counters;
     /** The run's histogram set, or null when the pillar is off. */
     const obs::HistogramSet *histograms = nullptr;

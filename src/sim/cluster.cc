@@ -48,6 +48,7 @@ ClusterState::ClusterState(
     for (auto &heap : evict_heaps_)
         heap.reserve(hints.evict_entries);
     evict_high_water_.fill(-std::numeric_limits<double>::infinity());
+    evict_compact_at_.fill(kEvictCompactFloor);
     evict_spared_.reserve(hints.evict_entries);
 }
 
@@ -230,6 +231,28 @@ ClusterState::pushEvictEntry(const Container &c, double priority)
     EventLoopStats &stats = metrics_.eventLoop();
     if (heap.size() > stats.peak_evict_entries)
         stats.peak_evict_entries = heap.size();
+    if (heap.size() >= evict_compact_at_[t])
+        compactEvictHeap(t);
+}
+
+void
+ClusterState::compactEvictHeap(std::size_t tier)
+{
+    // Dropping stale entries leaves the victim sequence unchanged: a
+    // stale entry stays stale (stamps are never reused) and would
+    // only ever be popped and skipped, and EvictLater is a strict
+    // total order, so the heap's layout never decides which live
+    // entry pops next. In place: no allocation.
+    EvictHeap &heap = evict_heaps_[tier];
+    const auto live_end = std::remove_if(
+        heap.begin(), heap.end(), [this](const EvictEntry &entry) {
+            return entry.stamp != expiry_stamps_[entry.slot];
+        });
+    metrics_.eventLoop().stale_evict_entries +=
+        static_cast<std::uint64_t>(heap.end() - live_end);
+    heap.erase(live_end, heap.end());
+    std::make_heap(heap.begin(), heap.end(), EvictLater{});
+    evict_compact_at_[tier] = std::max(kEvictCompactFloor, 2 * heap.size());
 }
 
 std::size_t

@@ -224,10 +224,12 @@ class ClusterState : public WarmupInterface
   private:
     /**
      * Lazy eviction-candidate record, 24 bytes: every idle spell
-     * pushes one and stale ones are skipped at pop. Validity is one
-     * stamp compare -- the entry snapshots the container's expiry
-     * stamp, which changes at exactly the moments the candidacy dies
-     * (acquired, destroyed, or idled again with a fresh entry).
+     * pushes one, and stale ones are skipped at pop or dropped when
+     * the heap compacts. Validity is one stamp compare -- the entry
+     * snapshots the container's expiry stamp, which changes at
+     * exactly the moments the candidacy dies (acquired, destroyed,
+     * renewed, or idled again with a fresh entry). Stamps are never
+     * reused, so a stale entry never turns valid again.
      */
     struct EvictEntry
     {
@@ -254,6 +256,9 @@ class ClusterState : public WarmupInterface
     };
 
     using EvictHeap = std::vector<EvictEntry>;
+
+    /** A tier's eviction heap never compacts below this size. */
+    static constexpr std::size_t kEvictCompactFloor = 4096;
 
     /** Intrusive container list in insertion order. */
     struct PoolList
@@ -290,6 +295,7 @@ class ClusterState : public WarmupInterface
                                Policy *evict_with);
     void scheduleExpiry(Container &c);
     void pushEvictEntry(const Container &c, double priority);
+    void compactEvictHeap(std::size_t tier);
 
     void poolPushBack(PoolList &list, Container &c);
     void poolUnlink(PoolList &list, Container &c);
@@ -322,6 +328,13 @@ class ClusterState : public WarmupInterface
      * multi-million-entry lazy heap.
      */
     std::array<double, kNumTiers> evict_high_water_;
+    /**
+     * Per-tier heap size that triggers the next compaction:
+     * max(kEvictCompactFloor, 2 x the size the last one left). At
+     * least half of it is pushed between two compactions, so each
+     * costs O(1) amortized per push.
+     */
+    std::array<std::size_t, kNumTiers> evict_compact_at_;
     EvictHeap evict_spared_; //!< evictToFit scratch (exclude_fn entries)
 
     std::vector<std::uint32_t> live_per_fn_;

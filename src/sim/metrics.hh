@@ -72,13 +72,23 @@ struct EventLoopStats
     std::uint64_t popped[6] = {};
 
     std::uint64_t stale_expiry_events = 0;  //!< expiry for gone/renewed
-    std::uint64_t stale_evict_entries = 0;  //!< evict-heap entries skipped
+    /**
+     * Stale evict-heap entries, each counted once: skipped at pop or
+     * dropped when a tier's heap compacts. Entries still pending when
+     * the run ends are not counted.
+     */
+    std::uint64_t stale_evict_entries = 0;
     std::uint64_t eviction_victims_examined = 0; //!< evict-heap pops
 
     std::uint64_t peak_live_containers = 0;
     std::uint64_t peak_pending_events = 0;
     std::uint64_t peak_bucket_events = 0; //!< calendar-queue bucket depth
-    std::uint64_t peak_evict_entries = 0; //!< largest per-tier heap
+    /**
+     * Largest size a tier's evict heap reached. Compaction bounds it
+     * by max(4096, 2 x the live entries the previous compaction
+     * kept), so it is not the number of idle spells.
+     */
+    std::uint64_t peak_evict_entries = 0;
     std::uint64_t peak_wait_queue = 0;
 
     std::uint64_t totalPopped() const

@@ -315,6 +315,67 @@ TEST_F(ClusterStateTest, EvictionSkipsEntriesWithStaleTokens)
     EXPECT_EQ(m.event_loop.eviction_victims_examined, 8u);
 }
 
+TEST_F(ClusterStateTest, EvictHeapStaysBoundedUnderWarmReuse)
+{
+    // One fn 0 container reused 10,000 times: every acquireWarm
+    // strands its evict-heap entry and the next idle spell pushes a
+    // fresh one. Without compaction the high-end heap would hold all
+    // 10,001 entries; it compacts each time it reaches 4,096.
+    auto first = cluster_.acquireCold(0, order_, policy_);
+    ASSERT_TRUE(first.has_value());
+    const ContainerId reused = first->id;
+    const TimeMs keep_alive = 1'000'000'000;
+    TimeMs now = 1000;
+    cluster_.setNow(now);
+    cluster_.finishExecution(reused, keep_alive, policy_);
+    for (int cycle = 0; cycle < 10'000; ++cycle) {
+        cluster_.setNow(now += 10);
+        auto warm = cluster_.acquireWarm(0, order_);
+        ASSERT_TRUE(warm.has_value());
+        ASSERT_EQ(warm->id, reused);
+        cluster_.finishExecution(reused, keep_alive, policy_);
+    }
+    const EventLoopStats &stats = metrics_.eventLoop();
+    EXPECT_LE(stats.peak_evict_entries, 8192u);
+    // Two compactions, each dropping all but the one live entry; no
+    // entry has been popped yet.
+    EXPECT_EQ(stats.stale_evict_entries, 2u * (4096 - 1));
+    EXPECT_EQ(stats.eviction_victims_examined, 0u);
+
+    // Fill the rest of the high-end tier with idles that outrank the
+    // reused container (they were used later).
+    cluster_.setNow(now += 10);
+    auto mid = cluster_.acquireCold(1, order_, policy_);
+    ASSERT_TRUE(mid.has_value());
+    ASSERT_EQ(mid->tier, Tier::HighEnd);
+    cluster_.setNow(now += 10);
+    auto last = cluster_.acquireCold(0, order_, policy_);
+    ASSERT_TRUE(last.has_value());
+    ASSERT_EQ(last->tier, Tier::HighEnd);
+    cluster_.setNow(now += 2000);
+    cluster_.finishExecution(mid->id, keep_alive, policy_);
+    cluster_.finishExecution(last->id, keep_alive, policy_);
+    ASSERT_EQ(cluster_.vacantMemoryMb(Tier::HighEnd), 0);
+
+    // A 512 MB cold start confined to the full high-end tier skips
+    // the stale entries left since the last compaction, then evicts
+    // the two lowest-priority live candidates in order: the reused
+    // container (256 MB, not yet enough) and then fn 1's.
+    auto cold = cluster_.acquireCold(1, {Tier::HighEnd, Tier::HighEnd},
+                                     policy_);
+    ASSERT_TRUE(cold.has_value());
+    EXPECT_EQ(cold->tier, Tier::HighEnd);
+    EXPECT_EQ(cluster_.liveCount(0), 1u);
+    EXPECT_EQ(cluster_.container(last->id).state,
+              ContainerState::IdleWarm);
+    EXPECT_EQ(cluster_.warmCount(1, Tier::HighEnd), 0u);
+    // Every superseded spell was counted stale exactly once, whether
+    // compaction dropped it or the eviction popped it.
+    EXPECT_EQ(stats.stale_evict_entries, 10'000u);
+    EXPECT_EQ(stats.eviction_victims_examined,
+              10'000u - 2u * (4096 - 1) + 2u);
+}
+
 TEST_F(ClusterStateTest, EvictionSparesExcludedFunctionAndRestoresIt)
 {
     // High-end: two fn 0 idles (256 MB each, lowest priority) plus one

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -271,25 +274,143 @@ TEST(TaskExecutorTest, TaskExceptionReachesCaller)
     EXPECT_EQ(ran, std::vector<int>(8, 2));
 }
 
-TEST(TaskExecutorTest, NestedCallRunsInline)
+/**
+ * Spin until @p flag is set or ten seconds pass; returns the flag.
+ * Bounded so a test that expects sharing fails instead of hanging
+ * when nothing else is running the task that sets it.
+ */
+bool
+awaitFlag(const std::atomic<bool> &flag)
 {
-    const std::size_t outer = 4;
-    const std::size_t inner = 5;
-    std::vector<std::thread::id> outer_thread(outer);
-    std::vector<std::vector<std::thread::id>> inner_thread(outer);
-    std::vector<std::vector<std::size_t>> inner_order(outer);
-    TaskExecutor::shared().run(outer, 4, [&](std::size_t i) {
-        outer_thread[i] = std::this_thread::get_id();
-        TaskExecutor::shared().run(inner, 4, [&](std::size_t j) {
-            inner_thread[i].push_back(std::this_thread::get_id());
-            inner_order[i].push_back(j);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    return flag.load();
+}
+
+TEST(TaskExecutorTest, NestedCallSharesIdleWorkers)
+{
+    // Outer task 1 returns at once, so its worker parks while outer
+    // task 0 issues a nested call whose participant 0 waits for
+    // participant 1 to start. Only a parked worker claiming
+    // participant 1 can start it: run inline, participant 0 would
+    // wait out its bound first.
+    std::atomic<bool> started{false};
+    bool saw_start = false;
+    std::thread::id caller;
+    std::thread::id first;
+    std::thread::id second;
+    TaskExecutor::shared().run(2, 2, [&](std::size_t i) {
+        if (i == 1)
+            return;
+        caller = std::this_thread::get_id();
+        TaskExecutor::shared().run(2, 2, [&](std::size_t j) {
+            if (j == 1) {
+                second = std::this_thread::get_id();
+                started.store(true);
+                return;
+            }
+            first = std::this_thread::get_id();
+            saw_start = awaitFlag(started);
+        });
+    });
+    EXPECT_TRUE(saw_start);
+    EXPECT_EQ(first, caller);
+    EXPECT_NE(second, caller);
+}
+
+TEST(TaskExecutorTest, NestedCallsFinishWhenEveryWorkerIsBusy)
+{
+    // Every task of a pool-wide outer call issues a nested call, so a
+    // nested call may find no worker parked and run every participant
+    // on its caller. Either way participant 0 runs on the caller and
+    // each participant's tasks run on one thread, in ascending order.
+    const std::size_t outer = std::max<std::size_t>(
+        4, std::thread::hardware_concurrency());
+    const std::size_t inner = 11;
+    const std::size_t width = 3;
+    struct Slot
+    {
+        std::thread::id thread;
+        std::size_t order = 0; //!< position within its participant
+        std::uint64_t value = 0;
+    };
+    std::vector<std::thread::id> caller(outer);
+    std::vector<std::vector<Slot>> slots(outer, std::vector<Slot>(inner));
+    TaskExecutor::shared().run(outer, outer, [&](std::size_t i) {
+        caller[i] = std::this_thread::get_id();
+        std::vector<std::size_t> next_order(width, 0);
+        TaskExecutor::shared().run(inner, width, [&](std::size_t j) {
+            std::uint64_t state = i * inner + j;
+            for (int step = 0; step < 2000; ++step)
+                splitMix64(state);
+            Slot &slot = slots[i][j];
+            slot.thread = std::this_thread::get_id();
+            slot.order = next_order[j % width]++;
+            slot.value = splitMix64(state);
         });
     });
     for (std::size_t i = 0; i < outer; ++i) {
-        EXPECT_EQ(inner_order[i], (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-        for (const std::thread::id id : inner_thread[i])
-            EXPECT_EQ(id, outer_thread[i]);
+        for (std::size_t j = 0; j < inner; ++j) {
+            const Slot &slot = slots[i][j];
+            std::uint64_t state = i * inner + j;
+            for (int step = 0; step < 2000; ++step)
+                splitMix64(state);
+            EXPECT_EQ(slot.value, splitMix64(state))
+                << "outer " << i << " inner " << j;
+            EXPECT_EQ(slot.order, j / width)
+                << "outer " << i << " inner " << j;
+            EXPECT_EQ(slot.thread, slots[i][j % width].thread)
+                << "outer " << i << " inner " << j;
+        }
+        EXPECT_EQ(slots[i][0].thread, caller[i]) << "outer " << i;
     }
+}
+
+TEST(TaskExecutorTest, NestedTaskExceptionReachesCaller)
+{
+    // Participant 1 throws on the worker that claimed it (participant
+    // 0 waits until it has started there); the nested run() rethrows
+    // in its caller once participant 0 is done.
+    std::atomic<bool> started{false};
+    bool caught = false;
+    std::thread::id caller;
+    std::thread::id thrower;
+    std::vector<int> ran(6, 0);
+    TaskExecutor::shared().run(2, 2, [&](std::size_t i) {
+        if (i == 1)
+            return;
+        caller = std::this_thread::get_id();
+        try {
+            TaskExecutor::shared().run(
+                ran.size(), 2, [&](std::size_t j) {
+                    if (j == 1) {
+                        thrower = std::this_thread::get_id();
+                        started.store(true);
+                        throw std::runtime_error("nested task failed");
+                    }
+                    if (j == 0)
+                        awaitFlag(started);
+                    ran[j] = 1;
+                });
+        } catch (const std::runtime_error &) {
+            caught = true;
+        }
+    });
+    EXPECT_TRUE(caught);
+    EXPECT_NE(thrower, caller);
+    // Participant 1 stopped at task 1; participant 0 ran all of its
+    // tasks.
+    EXPECT_EQ(ran, (std::vector<int>{1, 0, 1, 0, 1, 0}));
+
+    // The executor stays usable, nested and outside.
+    std::vector<std::vector<int>> again(2, std::vector<int>(6, 0));
+    TaskExecutor::shared().run(2, 2, [&](std::size_t i) {
+        TaskExecutor::shared().run(6, 2,
+                                   [&](std::size_t j) { again[i][j] = 2; });
+    });
+    EXPECT_EQ(again, std::vector<std::vector<int>>(2, std::vector<int>(6, 2)));
 }
 
 } // namespace

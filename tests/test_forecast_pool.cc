@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/executor.hh"
 #include "math/fft.hh"
 #include "predictors/fft_predictor.hh"
 #include "predictors/forecast_kernels.hh"
@@ -298,36 +299,64 @@ TEST(ForecastPoolTest, ResetMirrorsScalarReset)
 
 // ------------------------------------------------------------ threads
 
-TEST(ForecastPoolTest, ThreadCountDoesNotChangeBits)
+/**
+ * Observe and forecast 37 functions (5 blocks) for 90 rounds on a
+ * pool of forecast width @p threads; returns the final forecasts.
+ */
+std::vector<double>
+rollThreaded(std::size_t threads)
 {
     FftPredictorConfig config;
     config.window = 60;
     const std::size_t functions = 37;
     const std::size_t horizon = 11;
 
-    const auto run = [&](std::size_t threads) {
-        ForecastPoolOptions opts;
-        opts.threads = threads;
-        ForecastPool pool(opts);
+    ForecastPoolOptions opts;
+    opts.threads = threads;
+    ForecastPool pool(opts);
+    for (std::size_t fn = 0; fn < functions; ++fn)
+        pool.addFunction(config);
+    std::vector<double> out;
+    for (std::size_t t = 0; t < 90; ++t) {
         for (std::size_t fn = 0; fn < functions; ++fn)
-            pool.addFunction(config);
-        std::vector<double> out;
-        for (std::size_t t = 0; t < 90; ++t) {
-            for (std::size_t fn = 0; fn < functions; ++fn)
-                pool.observe(fn, signalAt(fn, t));
-            pool.forecastAll(horizon);
-        }
-        for (std::size_t fn = 0; fn < functions; ++fn)
-            out.insert(out.end(), pool.forecast(fn),
-                       pool.forecast(fn) + horizon);
-        return out;
-    };
+            pool.observe(fn, signalAt(fn, t));
+        pool.forecastAll(horizon);
+    }
+    for (std::size_t fn = 0; fn < functions; ++fn)
+        out.insert(out.end(), pool.forecast(fn),
+                   pool.forecast(fn) + horizon);
+    return out;
+}
 
-    const std::vector<double> one = run(1);
-    const std::vector<double> four = run(4);
-    ASSERT_EQ(one.size(), four.size());
-    for (std::size_t i = 0; i < one.size(); ++i)
-        ASSERT_EQ(bits(one[i]), bits(four[i])) << "i=" << i;
+void
+expectSameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(bits(a[i]), bits(b[i])) << "i=" << i;
+}
+
+TEST(ForecastPoolTest, ThreadCountDoesNotChangeBits)
+{
+    const std::vector<double> one = rollThreaded(1);
+    expectSameBits(one, rollThreaded(4));
+    // 0 means the hardware thread count.
+    expectSameBits(one, rollThreaded(0));
+}
+
+TEST(ForecastPoolTest, NestedForecastMatchesInline)
+{
+    // Issued from inside an executor task, as IceBreaker's forecast is
+    // inside a runner grid: the other outer task returns at once, so
+    // its worker is parked and claims participants of the nested
+    // forecastAll calls.
+    const std::vector<double> inline_bits = rollThreaded(1);
+    std::vector<double> nested_bits;
+    TaskExecutor::shared().run(2, 2, [&](std::size_t i) {
+        if (i == 0)
+            nested_bits = rollThreaded(4);
+    });
+    expectSameBits(inline_bits, nested_bits);
 }
 
 TEST(ForecastPoolTest, ThreadedExactModeMatchesScalar)

@@ -3,7 +3,7 @@
  * Tests for the observability layer (src/obs/ + harness wiring): the
  * trace ring buffer, Chrome trace_event export, probe CSV, manifest
  * lines, digest stability, latency histograms (bucket exactness,
- * merge algebra, tidy CSV), the no-perturbation contract (an attached
+ * tidy CSV), the no-perturbation contract (an attached
  * recorder never changes simulation results), and byte-identical
  * observation files across runner thread counts.
  */
@@ -15,7 +15,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/rng.hh"
 #include "harness/observe.hh"
 #include "harness/registry.hh"
 #include "harness/runner.hh"
@@ -460,47 +459,6 @@ TEST(HistogramTest, RecordCountSumMaxAndQuantiles)
     EXPECT_EQ(h.max(), 1'000'000u);
     EXPECT_EQ(h.quantile(1.0), 1'000'000u);
     EXPECT_EQ(h.quantile(0.5), 4u); // rank ceil(4.5) = 5 -> value 4
-}
-
-TEST(HistogramTest, MergeIsAssociativeAndCommutative)
-{
-    using H = obs::LatencyHistogram;
-    const auto expectSame = [](const H &a, const H &b) {
-        EXPECT_EQ(a.count(), b.count());
-        EXPECT_EQ(a.sum(), b.sum());
-        EXPECT_EQ(a.max(), b.max());
-        for (std::size_t i = 0; i < H::kNumBuckets; ++i)
-            EXPECT_EQ(a.bucketCount(i), b.bucketCount(i));
-    };
-
-    // Three deterministic streams spanning several octaves.
-    H parts[3];
-    for (std::size_t p = 0; p < 3; ++p) {
-        Rng stream = Rng(0x0b5'1157ull).fork(p);
-        for (int n = 0; n < 200; ++n)
-            parts[p].record(static_cast<std::uint64_t>(
-                stream.uniformInt(0, 1 << (4 * (p + 1)))));
-    }
-
-    // (a + b) + c == a + (b + c).
-    H left;
-    left.merge(parts[0]);
-    left.merge(parts[1]);
-    left.merge(parts[2]);
-    H bc;
-    bc.merge(parts[1]);
-    bc.merge(parts[2]);
-    H right;
-    right.merge(parts[0]);
-    right.merge(bc);
-    expectSame(left, right);
-
-    // c + b + a == a + b + c.
-    H reversed;
-    reversed.merge(parts[2]);
-    reversed.merge(parts[1]);
-    reversed.merge(parts[0]);
-    expectSame(left, reversed);
 }
 
 TEST(HistogramCsvTest, TidyRowsSkipEmptySeries)

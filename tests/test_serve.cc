@@ -652,6 +652,38 @@ TEST(StatsExporterTest, ServesLatestPrometheusTextOverHttp)
               std::string::npos);
 }
 
+TEST(StatsExporterTest, ReportsRejectedArrivals)
+{
+    // An arrival for an unknown function id, pushed while a replay
+    // runs, is refused at the boundary; the next snapshot reports the
+    // count in both renderings.
+    const harness::Workload workload = serveWorkload(4, 6);
+    const sim::ClusterConfig cluster =
+        sim::defaultHeterogeneousCluster();
+    serve::StatsExporter exporter(serve::StatsExporterOptions{});
+    const std::unique_ptr<serve::DecisionEngine> engine =
+        harness::makeDecisionEngineByName("openwhisk");
+    const auto unknown =
+        static_cast<FunctionId>(workload.trace.numFunctions());
+    serve::ReplayOptions replay_options;
+    replay_options.stats = &exporter;
+    replay_options.on_interval = [&](const serve::ReplayProgress &p) {
+        if (p.interval == 0) {
+            EXPECT_FALSE(engine->pushArrival(unknown));
+        }
+    };
+    serve::ReplayDriver replay(workload.trace, workload.profiles,
+                               cluster, *engine, replay_options);
+    replay.run();
+
+    EXPECT_EQ(engine->rejectedArrivals(), 1u);
+    EXPECT_NE(exporter.prometheusText().find(
+                  "icebreaker_rejected_arrivals_total{run=\"replay\"} 1\n"),
+              std::string::npos);
+    EXPECT_NE(exporter.jsonText().find("\"rejected_arrivals\":1,"),
+              std::string::npos);
+}
+
 TEST(StatsExporterTest, ReplayPublishesSnapshotsWithoutPerturbing)
 {
     const harness::Workload workload = serveWorkload(8, 20);

@@ -387,6 +387,90 @@ TEST(SimulatorGoldenTest, MetricsHashMatchesSeedImplementation)
         << std::hex << hash;
 }
 
+// The golden above never puts 4,096 candidates in an eviction heap,
+// so it cannot see the heap's compaction. Here containers idle more
+// than 12,000 times per tier: both tiers' heaps pass that floor
+// several times per run while evictions keep popping them (~15,000
+// pops per run). The hash pins the victim sequence the uncompacted
+// lazy heap produced.
+TEST(SimulatorGoldenTest, EvictionHeavyMetricsHashIsStable)
+{
+    // Steady functions run all day and fill the high-end tier, then
+    // spill onto the low-end one; bursty ones crowd in for the last
+    // third and force evictions on both.
+    constexpr std::size_t kSteady = 16;
+    constexpr std::size_t kBursty = 40;
+    constexpr std::size_t kIntervals = 720;
+    constexpr std::size_t kCrowdFrom = 480;
+    trace::Trace tr(kIntervals, kMsPerMinute);
+    Rng rng(0xE71C'7105ull);
+    std::vector<workload::FunctionProfile> profiles;
+    for (std::size_t fn = 0; fn < kSteady + kBursty; ++fn) {
+        Rng stream = rng.fork(fn);
+        const bool steady = fn < kSteady;
+        trace::FunctionSeries series;
+        series.name = "e" + std::to_string(fn);
+        series.memory_mb = 256 + 128 * stream.uniformInt(0, 3);
+        series.avg_exec_ms = 400 * stream.uniformInt(1, 5);
+        series.concurrency.assign(kIntervals, 0);
+        std::size_t iv = steady
+            ? 0
+            : kCrowdFrom + static_cast<std::size_t>(
+                               stream.uniformInt(0, 20));
+        while (iv < kIntervals) {
+            const std::size_t burst = steady
+                ? kIntervals
+                : static_cast<std::size_t>(stream.uniformInt(5, 20));
+            for (std::size_t b = 0; b < burst && iv < kIntervals;
+                 ++b, ++iv) {
+                series.concurrency[iv] = static_cast<std::uint32_t>(
+                    stream.uniformInt(1, 3));
+            }
+            iv += static_cast<std::size_t>(stream.uniformInt(1, 10));
+        }
+        tr.addFunction(series);
+
+        workload::FunctionProfile profile;
+        profile.name = series.name;
+        profile.memory_mb = series.memory_mb;
+        profile.cold_start_ms = {800 + 200 * stream.uniformInt(0, 4),
+                                 1600 + 400 * stream.uniformInt(0, 4)};
+        profile.exec_ms = {series.avg_exec_ms, 2 * series.avg_exec_ms};
+        profiles.push_back(profile);
+    }
+
+    ClusterConfig cluster = defaultHeterogeneousCluster();
+    cluster.spec(Tier::HighEnd).server_count = 1;
+    cluster.spec(Tier::HighEnd).memory_per_server_mb = 8192;
+    cluster.spec(Tier::LowEnd).server_count = 2;
+    cluster.spec(Tier::LowEnd).memory_per_server_mb = 8192;
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    const auto runAndHash = [&](Policy &policy) {
+        const SimulationMetrics m =
+            runSimulation(tr, profiles, cluster, policy);
+        // A heap passes the compaction floor, victims are popped,
+        // and both tiers see thousands of idle spells.
+        EXPECT_GE(m.event_loop.peak_evict_entries, 4096u);
+        EXPECT_GT(m.event_loop.eviction_victims_examined, 0u);
+        EXPECT_GT(m.service_times_high_ms.size(), 2 * 4096u);
+        EXPECT_GT(m.service_times_low_ms.size(), 2 * 4096u);
+        hash = hashMetrics(hash, m);
+    };
+    {
+        policies::FaasCachePolicy policy;
+        runAndHash(policy);
+    }
+    {
+        policies::OpenWhiskPolicy policy;
+        runAndHash(policy);
+    }
+
+    constexpr std::uint64_t kUncompactedHeapHash = 0xe09a9d2ce6f600deull;
+    EXPECT_EQ(hash, kUncompactedHeapHash)
+        << "eviction order changed; hash is now 0x" << std::hex << hash;
+}
+
 TEST(SimulatorTest, ColdPlacementSpillsToOtherTierWhenFull)
 {
     // The high-end tier fits a single container: a burst of two
