@@ -1,5 +1,7 @@
 #include "bench/bench_util.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <string_view>
 
@@ -58,12 +60,19 @@ usage(const char *prog, int status)
     std::exit(status);
 }
 
+/**
+ * Decimal, or hex/octal by prefix (strtoull base 0). strtoull alone
+ * would also take a sign or leading space ("-1" wraps to 2^64 - 1),
+ * so the text must start with a digit.
+ */
 std::uint64_t
 parseUint(const char *prog, std::string_view flag, const char *text)
 {
     char *end = nullptr;
+    errno = 0;
     const unsigned long long value = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE) {
         std::cerr << prog << ": bad value '" << text << "' for " << flag
                   << "\n";
         usage(prog, 1);

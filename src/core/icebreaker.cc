@@ -24,7 +24,6 @@ IceBreakerPolicy::initialize(const sim::SimContext &ctx)
     functions_.clear();
     functions_.reserve(n);
     predictors::ForecastPoolOptions pool_opts;
-    pool_opts.fast_path = config_.fip_fast_batch;
     pool_opts.threads = config_.fip_threads;
     pool_ = predictors::ForecastPool(pool_opts);
     std::vector<double> memory_ratios(n, 0.0);

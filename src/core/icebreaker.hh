@@ -72,18 +72,14 @@ struct IceBreakerConfig
     std::size_t keep_alive_horizon = 10;
 
     /**
-     * Batched-FIP knobs, forwarded to the ForecastPool. The default
-     * exact mode is bit-identical to forecasting through per-function
-     * FftPredictor instances; fip_fast_batch opts into the
-     * rotation-recurrence fast path (<= 1e-9 per forecast, the
-     * "icebreaker-fastfip" registry scheme). fip_threads is the
-     * forecast width: blocks are forecast as that many executor
-     * participants, 1 runs them inline and the default 0 means the
+     * Forecast width of the batched FIP (the ForecastPool), whose
+     * forecasts are bit-identical to per-function FftPredictor
+     * instances. Blocks are forecast as this many executor
+     * participants: 1 runs them inline and the default 0 means the
      * hardware thread count. Inside a runner grid the forecast runs
      * on its own worker plus whichever workers the other runs left
      * parked. Forecasts are byte-identical for any width.
      */
-    bool fip_fast_batch = false;
     std::size_t fip_threads = 0;
 };
 
@@ -95,11 +91,7 @@ class IceBreakerPolicy : public sim::Policy
   public:
     explicit IceBreakerPolicy(IceBreakerConfig config = {});
 
-    const char *name() const override
-    {
-        return config_.fip_fast_batch ? "icebreaker-fastfip"
-                                      : "icebreaker";
-    }
+    const char *name() const override { return "icebreaker"; }
 
     void initialize(const sim::SimContext &ctx) override;
     void onIntervalObserved(

@@ -32,14 +32,6 @@ PolicyRegistry::PolicyRegistry()
     factories_["icebreaker"] = [] {
         return std::make_unique<core::IceBreakerPolicy>();
     };
-    // IceBreaker with the batched FIP's fast arithmetic: forecasts
-    // agree with "icebreaker" to <= 1e-9 but the forecasting pass
-    // runs roughly 2x cheaper (see bench_fip --batch-functions).
-    factories_["icebreaker-fastfip"] = [] {
-        core::IceBreakerConfig config;
-        config.fip_fast_batch = true;
-        return std::make_unique<core::IceBreakerPolicy>(config);
-    };
     factories_["oracle"] = [] {
         return std::make_unique<policies::OraclePolicy>();
     };

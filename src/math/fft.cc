@@ -417,41 +417,4 @@ fftPlanFor(std::size_t n)
     return plan;
 }
 
-// ------------------------------------------------------------ SlidingDft
-
-SlidingDft::SlidingDft(std::size_t n)
-    : n_(n), plan_(fftPlanFor(n))
-{
-    ICEB_ASSERT(n >= 1, "SlidingDft needs a positive window");
-    const std::size_t bins = n / 2 + 1;
-    rot_.resize(bins);
-    for (std::size_t k = 0; k < bins; ++k) {
-        const double angle =
-            2.0 * M_PI * static_cast<double>(k) / static_cast<double>(n);
-        rot_[k] = Complex(std::cos(angle), std::sin(angle));
-    }
-    bins_.assign(bins, Complex(0.0, 0.0));
-}
-
-void
-SlidingDft::resync(const double *window, std::size_t n, FftScratch &scratch)
-{
-    ICEB_ASSERT(n == n_ && n_ >= 1, "SlidingDft window length mismatch");
-    full_.resize(n_);
-    plan_->forwardReal(window, full_.data(), scratch);
-    for (std::size_t k = 0; k < bins_.size(); ++k)
-        bins_[k] = full_[k];
-    valid_ = true;
-}
-
-void
-SlidingDft::slide(double oldest, double newest)
-{
-    ICEB_ASSERT(valid_, "SlidingDft::slide before resync");
-    const double delta = newest - oldest;
-    for (std::size_t k = 0; k < bins_.size(); ++k)
-        bins_[k] = Complex(bins_[k].real() + delta, bins_[k].imag()) *
-            rot_[k];
-}
-
 } // namespace iceb::math

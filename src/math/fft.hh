@@ -19,10 +19,6 @@
  *    allocations. Plan transforms execute the exact operation
  *    sequence of the plain functions, so their results are
  *    bit-identical (enforced by a golden test over lengths 1-64).
- *
- * SlidingDft maintains the spectrum of a fixed-length window
- * incrementally: O(1) work per retained bin per new sample, with a
- * full-FFT resync available to bound floating-point drift.
  */
 
 #ifndef ICEB_MATH_FFT_HH
@@ -189,57 +185,6 @@ class FftPlan
  * the returned pointer rather than re-looking it up per transform.
  */
 std::shared_ptr<const FftPlan> fftPlanFor(std::size_t n);
-
-/**
- * Sliding DFT of a fixed-length real window, retaining bins
- * 0..n/2 (a real window's upper bins are conjugate mirrors).
- *
- * After a resync() from the full window, each slide() updates every
- * retained bin in O(1):
- *
- *   S_k <- (S_k - oldest + newest) * exp(+2*pi*i*k/n)
- *
- * Rotation error accumulates at ~1 ulp per slide, so callers resync
- * periodically (IceBreaker's FIP does so every resync_every
- * intervals) to stay within 1e-6 of the full recompute.
- */
-class SlidingDft
-{
-  public:
-    SlidingDft() = default;
-
-    /** Prepare for windows of length @p n (spectrum starts invalid). */
-    explicit SlidingDft(std::size_t n);
-
-    /** Window length (0 when default-constructed). */
-    std::size_t windowLength() const { return n_; }
-
-    /** True when bins() reflects the current window. */
-    bool valid() const { return valid_; }
-
-    /** Drop the tracked spectrum (next use must resync). */
-    void invalidate() { valid_ = false; }
-
-    /**
-     * Full recompute from @p window (n samples, oldest first) through
-     * the plan cache; zero allocations after the first call.
-     */
-    void resync(const double *window, std::size_t n, FftScratch &scratch);
-
-    /** O(1)-per-bin update: @p oldest leaves the window, @p newest enters. */
-    void slide(double oldest, double newest);
-
-    /** Retained spectrum, bins 0..n/2. Valid only after a resync. */
-    const std::vector<Complex> &bins() const { return bins_; }
-
-  private:
-    std::size_t n_ = 0;
-    std::shared_ptr<const FftPlan> plan_;
-    std::vector<Complex> rot_;  //!< exp(+2*pi*i*k/n) per retained bin
-    std::vector<Complex> bins_;
-    std::vector<Complex> full_; //!< resync spectrum scratch
-    bool valid_ = false;
-};
 
 } // namespace iceb::math
 

@@ -118,8 +118,8 @@ void decomposeForExtrapolation(const double *series, std::size_t n,
 /**
  * The peak-picking + least-squares tail of decomposeForExtrapolation,
  * taking bin magnitudes (ws.magnitude[0..n/2], DC ignored) that the
- * caller has already computed - either from a plan FFT or from an
- * incrementally maintained SlidingDft spectrum. Requires n >= 8 and
+ * caller has already computed - either from a plan FFT or from the
+ * batched forecast kernels' lane-wise FFT. Requires n >= 8 and
  * max_components >= 1.
  *
  * The least-squares fit never forms the n x 2m design matrix. Over a
@@ -130,8 +130,8 @@ void decomposeForExtrapolation(const double *series, std::size_t n,
  * frequency; the 2m x 2m system, with a 1e-9 ridge, is solved by
  * Cholesky. A numerically singular system falls back to decompose().
  *
- * @p fast_trig is accepted for source compatibility and ignored:
- * there is one fit, so exact and fast callers get the same harmonics.
+ * @p fast_trig is ignored: there is one fit. The parameter stays for
+ * source compatibility with callers that still pass it.
  */
 void decomposeFromMagnitudes(const double *series, std::size_t n,
                              std::size_t max_components,

@@ -45,24 +45,6 @@ struct FftPredictorConfig
     std::size_t harmonics = 10;     //!< top-n components kept
     std::size_t poly_degree = 2;    //!< trend model order
     std::size_t min_samples = 8;    //!< below this, predict the mean
-
-    /**
-     * Opt-in incremental spectrum: once the window is full, maintain
-     * its DFT bins with an O(1)-per-bin sliding update on every
-     * observe() instead of a fresh FFT per forecast, and subtract the
-     * trend's spectrum analytically (the DFTs of t^0..t^degree are
-     * precomputed, so the residual spectrum follows by linearity).
-     * Agrees with the full recompute within 1e-6; the default (off)
-     * keeps the forecast arithmetic bit-identical to the original
-     * implementation.
-     */
-    bool incremental_spectrum = false;
-
-    /**
-     * Full-FFT resync cadence (in observed samples) for the
-     * incremental mode, bounding sliding-DFT floating-point drift.
-     */
-    std::size_t resync_every = 64;
 };
 
 /**
@@ -103,9 +85,6 @@ class FftPredictor : public Predictor
     /** Copy the ring contents, oldest first, into window_scratch_. */
     void linearizeWindow();
 
-    /** Residual-spectrum magnitudes from the sliding DFT + trend fit. */
-    void incrementalMagnitudes();
-
     FftPredictorConfig config_;
     std::vector<double> ring_;   //!< circular window storage
     std::size_t head_ = 0;       //!< oldest element when full
@@ -118,12 +97,6 @@ class FftPredictor : public Predictor
     math::HarmonicsWorkspace harm_ws_;
     std::vector<math::Harmonic> harmonics_;
     std::vector<double> next_scratch_;    //!< predictNext() output
-
-    // Incremental (sliding-DFT) mode state.
-    math::SlidingDft sdft_;
-    std::size_t since_resync_ = 0;
-    /** DFT bins 0..n/2 of t^p for p = 0..poly_degree. */
-    std::vector<std::vector<math::Complex>> trend_basis_;
 };
 
 } // namespace iceb::predictors

@@ -1,7 +1,6 @@
 #include "predictors/forecast_kernels.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -317,7 +316,6 @@ forecastBlock(const BlockContext &ctx, const bool *active,
     const std::size_t half = n / 2;
     const double *spec_re = scratch.spec_re.data();
     const double *spec_im = scratch.spec_im.data();
-    scratch.horizon.resize(horizon);
     for (std::size_t l = 0; l < L; ++l) {
         if (!active[l])
             continue;
@@ -329,7 +327,6 @@ forecastBlock(const BlockContext &ctx, const bool *active,
         double *series = scratch.lane_series.data();
         for (std::size_t i = 0; i < n; ++i)
             series[i] = resid[i * L + l];
-        // Both modes run the fit the scalar predictor runs.
         math::decomposeFromMagnitudes(series, n, ctx.harmonics,
                                       scratch.harm, scratch.hws);
 
@@ -337,39 +334,12 @@ forecastBlock(const BlockContext &ctx, const bool *active,
         for (std::size_t k = 0; k < terms; ++k)
             rhs[k] = coeffs[k * L + l];
         scratch.trend_poly.assign(rhs, terms);
-        double *hor = scratch.horizon.data();
-        if (!ctx.fast_trig) {
-            for (std::size_t step = 0; step < horizon; ++step) {
-                const double t = static_cast<double>(n + step);
-                hor[step] = scratch.trend_poly.evaluate(t) +
-                    math::evaluateHarmonics(scratch.harm, t);
-            }
-        } else {
-            // Fast mode: two cos/sin calls per harmonic seed a complex
-            // rotation across the horizon instead of one cos per
-            // (harmonic, step).
-            for (std::size_t step = 0; step < horizon; ++step) {
-                hor[step] = scratch.trend_poly.evaluate(
-                    static_cast<double>(n + step));
-            }
-            for (const math::Harmonic &h : scratch.harm) {
-                const double w = 2.0 * M_PI * h.frequency;
-                const double theta0 =
-                    w * static_cast<double>(n) + h.phase;
-                double c = std::cos(theta0);
-                double s = std::sin(theta0);
-                const double rc = std::cos(w);
-                const double rs = std::sin(w);
-                for (std::size_t step = 0; step < horizon; ++step) {
-                    hor[step] += h.amplitude * c;
-                    const double nc = c * rc - s * rs;
-                    s = c * rs + s * rc;
-                    c = nc;
-                }
-            }
+        for (std::size_t step = 0; step < horizon; ++step) {
+            const double t = static_cast<double>(n + step);
+            const double forecast = scratch.trend_poly.evaluate(t) +
+                math::evaluateHarmonics(scratch.harm, t);
+            out[step * L + l] = std::max(0.0, forecast);
         }
-        for (std::size_t step = 0; step < horizon; ++step)
-            out[step * L + l] = std::max(0.0, hor[step]);
     }
 }
 

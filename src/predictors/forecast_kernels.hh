@@ -22,11 +22,10 @@
  *  - the harmonic fit calls math::decomposeFromMagnitudes, the same
  *    compiled function the scalar predictor calls.
  *
- * In the default exact mode the result is therefore bit-identical to
- * FftPredictor::forecastHorizon (enforced by test). The opt-in fast
- * mode evaluates the horizon with complex-rotation recurrences
- * instead of one cos per (harmonic, step) (~1 ulp/step, well inside
- * the 1e-9 agreement budget); the fit is the same in both modes.
+ * The result is therefore bit-identical to
+ * FftPredictor::forecastHorizon (enforced by test) at every window
+ * length n >= 8, which is what lets the pool fit warm-up lanes at
+ * n = their sample count through the same kernels.
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_KERNELS_HH
@@ -47,8 +46,8 @@ namespace iceb::predictors::kernels
 constexpr std::size_t kLanes = 8;
 
 /**
- * Immutable per-group inputs shared by every block of a pool group:
- * the cached plan and fit tables for one (window, config) class.
+ * Immutable inputs shared by every block a pool group fits at one
+ * length: the cached plan and fit tables for that length.
  */
 struct BlockContext
 {
@@ -60,14 +59,12 @@ struct BlockContext
     const math::SeriesPowerTable *powers = nullptr;
     /** Factored normal matrix, replayed per lane. */
     const math::FactoredSystem *trend_system = nullptr;
-    /** Fast mode: rotation-recurrence horizon (<= 1e-9 divergence). */
-    bool fast_trig = false;
 };
 
 /**
  * Per-thread scratch for one block. SoA arrays are indexed
  * [sample * kLanes + lane]; prepare() sizes everything for a context
- * and allocates nothing once capacities cover the largest group.
+ * and allocates nothing once capacities cover the longest window.
  */
 struct BlockScratch
 {
@@ -83,7 +80,6 @@ struct BlockScratch
     std::vector<double> packed_im;
     std::vector<double> lane_rhs;    //!< contiguous per-lane solve buffer
     std::vector<double> lane_series; //!< contiguous per-lane residual
-    std::vector<double> horizon;     //!< per-lane horizon accumulator
     math::HarmonicsWorkspace hws;
     math::Polynomial trend_poly;
     std::vector<math::Harmonic> harm;

@@ -4,29 +4,29 @@
  *
  * A ForecastPool owns the invocation history of every registered
  * function as contiguous per-lane ring buffers, grouped by predictor
- * configuration so one cached FftPlan (and one factored trend system)
- * drives block transforms over many functions at once. forecastAll()
- * forecasts kLanes functions per block through the SoA kernels in
- * forecast_kernels.cc, optionally thread-parallel on the shared
- * TaskExecutor: blocks go to participants by a fixed interleaving
- * of a deterministic task list and every lane's arithmetic is
- * lane-local, so results are byte-identical for any --threads value.
+ * configuration. forecastAll() forecasts kLanes functions per block
+ * through the SoA kernels in forecast_kernels.cc, optionally
+ * thread-parallel on the shared TaskExecutor: blocks go to
+ * participants by a fixed interleaving of a deterministic task list
+ * and every lane's arithmetic is lane-local, so results are
+ * byte-identical for any --threads value.
  *
- * Equivalence contract (enforced by tests):
+ * Every lane holding at least min_samples samples is fitted by
+ * kernels::forecastBlock at n = its sample count, warm-up included:
+ * each group caches one FftPlan, SeriesPowerTable and factored trend
+ * system per length it has seen, built serially before dispatch. A
+ * block whose lanes hold different counts runs one kernel pass per
+ * distinct count. Silent lanes forecast zeros, and lanes below
+ * min_samples forecast their window mean.
  *
- *  - default (exact) mode reproduces FftPredictor::forecastHorizon
- *    bit for bit: full-window lanes run the batched pipeline whose
- *    every stage replays the scalar operation sequence, and all other
- *    lanes (warm-up, short windows, silent windows,
- *    incremental-spectrum configs) take a scalar path that mirrors
- *    the predictor directly;
- *  - fast mode (ForecastPoolOptions::fast_path) evaluates the horizon
- *    by rotation recurrences, staying within 1e-9 of the scalar
- *    forecast; the harmonic fit is the same in both modes.
+ * Equivalence contract (enforced by tests): every forecast reproduces
+ * FftPredictor::forecastHorizon bit for bit, because each kernel
+ * stage replays the scalar operation sequence.
  *
  * Steady-state forecasting performs no heap allocations; the pool
- * allocates only when functions are added or a longer horizon is
- * first requested.
+ * allocates only when functions are added, a lane reaches a sample
+ * count it has not fitted before, or a longer horizon is first
+ * requested.
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_POOL_HH
@@ -46,13 +46,6 @@ namespace iceb::predictors
 struct ForecastPoolOptions
 {
     /**
-     * Opt-in fast arithmetic: rotation-recurrence trig in the
-     * horizon evaluation. Diverges from the scalar path by <= 1e-9
-     * per forecast value; the default false is bit-identical.
-     */
-    bool fast_path = false;
-
-    /**
      * Executor participants for forecastAll (1 = inline, 0 = the
      * hardware thread count). A call from inside an executor task
      * runs on its caller plus whichever workers are parked.
@@ -69,7 +62,10 @@ class ForecastPool
   public:
     explicit ForecastPool(ForecastPoolOptions options = {});
 
-    /** Register a function; returns its slot id. */
+    /**
+     * Register a function; returns its slot id. The config's
+     * min_samples must be at least 8, the kernels' shortest fit.
+     */
     std::size_t addFunction(const FftPredictorConfig &config);
 
     /** Retire a slot (its lane and id are recycled). */
@@ -106,6 +102,14 @@ class ForecastPool
     const double *forecast(std::size_t slot) const;
 
   private:
+    /** Kernel tables for fitting windows of one length n. */
+    struct LengthCache
+    {
+        std::shared_ptr<const math::FftPlan> plan; //!< null until built
+        math::SeriesPowerTable powers;
+        math::FactoredSystem trend_system;
+    };
+
     struct Group
     {
         FftPredictorConfig cfg;
@@ -116,19 +120,8 @@ class ForecastPool
         std::vector<std::uint32_t> count;
         std::vector<std::uint32_t> slot_of_lane;
         std::vector<std::uint32_t> free_lanes;
-
-        // Shared per-group caches, built lazily before forecasting.
-        std::shared_ptr<const math::FftPlan> plan;
-        math::SeriesPowerTable powers;
-        math::FactoredSystem trend_system;
-        bool caches_ready = false;
-
-        /**
-         * incremental_spectrum configs keep per-lane scalar
-         * predictors: the sliding-DFT state is inherently
-         * per-function, so the pool delegates instead of batching.
-         */
-        std::vector<std::unique_ptr<FftPredictor>> scalar;
+        /** Shared kernel tables indexed by sample count (0..window). */
+        std::vector<LengthCache> lengths;
     };
 
     struct SlotRef
@@ -137,17 +130,11 @@ class ForecastPool
         std::uint32_t lane = 0;
     };
 
-    /** Per-worker scratch: block buffers + scalar-path workspaces. */
+    /** Per-worker scratch: block buffers + the SoA horizon output. */
     struct WorkerScratch
     {
         kernels::BlockScratch block;
-        std::vector<double> window; //!< linearized scalar window
-        std::vector<double> residual;
         std::vector<double> horizon_tmp;
-        math::Polynomial trend;
-        math::PolyfitWorkspace poly_ws;
-        math::HarmonicsWorkspace harm_ws;
-        std::vector<math::Harmonic> harmonics;
     };
 
     struct BlockTask
@@ -157,12 +144,10 @@ class ForecastPool
     };
 
     std::size_t groupFor(const FftPredictorConfig &config);
-    void ensureGroupCaches(Group &group);
+    /** Build @p group's kernel tables for fits of length @p n. */
+    static void ensureLengthCache(Group &group, std::size_t n);
     void runBlock(const Group &group, const BlockTask &task,
                   WorkerScratch &scratch);
-    /** Mirror of FftPredictor::forecastHorizon over one lane's ring. */
-    void forecastLaneScalar(const Group &group, std::uint32_t lane,
-                            WorkerScratch &scratch, double *out) const;
 
     ForecastPoolOptions options_;
     std::vector<Group> groups_;

@@ -208,14 +208,15 @@ StatsExporter::StatsExporter(StatsExporterOptions options)
 
 StatsExporter::~StatsExporter()
 {
-    if (listen_fd_ >= 0) {
-        // Unblocks the accept() so the thread exits.
-        ::shutdown(listen_fd_, SHUT_RDWR);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
+    if (listen_fd_ < 0)
+        return;
+    // Unblock the accept() and let the thread exit before closing the
+    // socket: serveLoop reads listen_fd_ until it returns.
+    ::shutdown(listen_fd_, SHUT_RDWR);
     if (server_.joinable())
         server_.join();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
 }
 
 void

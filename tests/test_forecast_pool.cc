@@ -3,11 +3,11 @@
  * Tests for the batched SoA forecasting engine: the ForecastPool and
  * its block kernels against the scalar FftPredictor golden reference.
  *
- * The central contract is bitwise: in exact mode (the policy default)
- * every forecast value the pool produces must match
- * FftPredictor::forecastHorizon bit for bit, across power-of-two and
- * Bluestein window lengths, during warm-up and steady state, for any
- * thread count. Fast mode is held to a 1e-9 agreement budget.
+ * The central contract is bitwise: every forecast value the pool
+ * produces must match FftPredictor::forecastHorizon bit for bit,
+ * across power-of-two, Bluestein and odd window lengths, during
+ * warm-up (kernels at n = sample count) and steady state, for any
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -74,7 +74,7 @@ expectHorizonBitsEqual(const double *pool_out,
  * Roll `intervals` observation/forecast rounds over `functions`
  * functions with the given config, asserting the pool matches the
  * scalar predictor bit for bit at every round (including warm-up,
- * where lanes take the scalar mirror path).
+ * where lanes are fitted at n = their sample count).
  */
 void
 rollAndCompare(const FftPredictorConfig &config, std::size_t functions,
@@ -129,23 +129,23 @@ TEST(ForecastPoolTest, BitIdenticalBluesteinWindows)
 
 TEST(ForecastPoolTest, BitIdenticalOddWindows)
 {
-    // Odd lengths take forwardReal's full-complex fallback.
+    // Odd lengths take forwardReal's full-complex fallback; warm-up
+    // also fits the odd counts 9, 11, 13, ... below each window.
     for (const std::size_t window : {9u, 15u, 21u}) {
         FftPredictorConfig config;
         config.window = window;
-        config.min_samples = 4;
         rollAndCompare(config, 4, 2 * window + 3, 7);
     }
 }
 
-TEST(ForecastPoolTest, BitIdenticalBelowBatchThreshold)
+TEST(ForecastPoolDeathTest, RejectsMinSamplesBelowKernelMinimum)
 {
-    // window < 8 never qualifies for the batch kernels: the scalar
-    // mirror must still match (including the min_samples mean path).
+    // Every fitted lane runs the kernels, whose shortest fit is 8.
     FftPredictorConfig config;
-    config.window = 6;
-    config.min_samples = 4;
-    rollAndCompare(config, 3, 15, 5);
+    config.window = 16;
+    config.min_samples = 7;
+    ForecastPool pool;
+    EXPECT_DEATH(pool.addFunction(config), "min_samples");
 }
 
 TEST(ForecastPoolTest, BitIdenticalMoreLanesThanOneBlock)
@@ -154,15 +154,6 @@ TEST(ForecastPoolTest, BitIdenticalMoreLanesThanOneBlock)
     FftPredictorConfig config;
     config.window = 16;
     rollAndCompare(config, kernels::kLanes * 2 + 3, 40, 11);
-}
-
-TEST(ForecastPoolTest, BitIdenticalIncrementalSpectrumDelegates)
-{
-    FftPredictorConfig config;
-    config.window = 32;
-    config.incremental_spectrum = true;
-    config.resync_every = 16;
-    rollAndCompare(config, 4, 80, 11);
 }
 
 TEST(ForecastPoolTest, SilentFunctionForecastsZeros)
@@ -367,32 +358,43 @@ TEST(ForecastPoolTest, ThreadedExactModeMatchesScalar)
                    /*threads=*/4);
 }
 
-// ---------------------------------------------------------- fast mode
-
-TEST(ForecastPoolTest, FastModeWithinTolerance)
+TEST(ForecastPoolTest, StaggeredArrivalsMatchScalarAtAnyWidth)
 {
-    for (const std::size_t window : {16u, 60u, 120u}) {
-        FftPredictorConfig config;
-        config.window = window;
+    // Two functions arrive every third round, so each 8-lane block
+    // spans four arrival rounds: one forecastAll holds several sample
+    // counts across blocks and within each (some below min_samples),
+    // and concurrent blocks read several per-length caches.
+    FftPredictorConfig config;
+    config.window = 60;
+    const std::size_t functions = 3 * kernels::kLanes + 4;
+    const std::size_t last_arrival = 3 * (functions / 2 - 1);
+    const std::size_t horizon = 11;
+    for (const std::size_t threads : {1u, 4u}) {
         ForecastPoolOptions opts;
-        opts.fast_path = true;
+        opts.threads = threads;
         ForecastPool pool(opts);
-        FftPredictor scalar(config);
-        const std::size_t slot = pool.addFunction(config);
+        std::vector<FftPredictor> scalar;
+        scalar.reserve(functions);
         std::vector<double> golden;
-        for (std::size_t t = 0; t < 2 * window; ++t) {
-            const double v = signalAt(3, t);
-            pool.observe(slot, v);
-            scalar.observe(v);
-            pool.forecastAll(11);
-            scalar.forecastHorizon(11, golden);
-            for (std::size_t step = 0; step < golden.size(); ++step) {
-                EXPECT_NEAR(pool.forecast(slot)[step], golden[step],
-                            1e-9)
-                    << "window=" << window << " t=" << t
-                    << " step=" << step;
+        for (std::size_t t = 0; t <= last_arrival + config.window + 5;
+             ++t) {
+            for (std::size_t k = 0;
+                 k < 2 && t % 3 == 0 && scalar.size() < functions; ++k) {
+                EXPECT_EQ(pool.addFunction(config), scalar.size());
+                scalar.emplace_back(config);
+            }
+            for (std::size_t fn = 0; fn < scalar.size(); ++fn) {
+                const double v = signalAt(fn, t);
+                pool.observe(fn, v);
+                scalar[fn].observe(v);
+            }
+            pool.forecastAll(horizon);
+            for (std::size_t fn = 0; fn < scalar.size(); ++fn) {
+                scalar[fn].forecastHorizon(horizon, golden);
+                expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
             }
         }
+        EXPECT_EQ(scalar.size(), functions);
     }
 }
 
@@ -401,8 +403,9 @@ TEST(ForecastPoolTest, FastModeWithinTolerance)
 TEST(ForecastKernelsTest, ForwardRealBatchMatchesPlanBitwise)
 {
     using kernels::kLanes;
-    for (const std::size_t n : {8u, 9u, 12u, 15u, 16u, 60u, 64u, 120u,
-                                128u}) {
+    // Warm-up sends every count from min_samples (8) to the window
+    // through the batch FFT, so cover each length up to 128.
+    for (std::size_t n = 8; n <= 128; ++n) {
         const auto plan = math::fftPlanFor(n);
         std::vector<double> in(n * kLanes);
         for (std::size_t i = 0; i < n; ++i)

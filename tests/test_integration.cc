@@ -117,10 +117,12 @@ TEST_P(SchemeInvariantTest, SurvivesHomogeneousClusters)
                   workload.trace.totalInvocations())
             << cluster.name;
         // A single-tier cluster must place everything on that tier.
-        if (cluster.spec(Tier::LowEnd).server_count == 0)
+        if (cluster.spec(Tier::LowEnd).server_count == 0) {
             EXPECT_TRUE(result.metrics.service_times_low_ms.empty());
-        if (cluster.spec(Tier::HighEnd).server_count == 0)
+        }
+        if (cluster.spec(Tier::HighEnd).server_count == 0) {
             EXPECT_TRUE(result.metrics.service_times_high_ms.empty());
+        }
     }
 }
 

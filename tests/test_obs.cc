@@ -427,9 +427,10 @@ TEST(HistogramTest, BucketBoundariesPartitionTheRange)
     for (std::size_t i = 0; i < H::kNumBuckets; ++i) {
         EXPECT_EQ(H::bucketIndex(H::bucketLowerBound(i)), i);
         EXPECT_EQ(H::bucketIndex(H::bucketUpperBound(i)), i);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(H::bucketUpperBound(i - 1) + 1,
                       H::bucketLowerBound(i));
+        }
     }
     EXPECT_EQ(H::bucketUpperBound(H::kNumBuckets - 1),
               std::numeric_limits<std::uint64_t>::max());

@@ -247,8 +247,9 @@ TEST(ClusterConfigTest, CostRatioClusters)
         EXPECT_GT(high.server_count, 0u);
         EXPECT_GT(low.server_count, 0u);
         // Cheaper high-end servers -> more of them at equal budget.
-        if (ratio < 1.5)
+        if (ratio < 1.5) {
             EXPECT_GT(high.server_count, 10u);
+        }
     }
 }
 
