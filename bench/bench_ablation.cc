@@ -24,7 +24,9 @@ main(int argc, char **argv)
 
     const bench::BenchOptions options =
         bench::parseBenchOptions(argc, argv);
-    const harness::Workload workload = bench::standardWorkload(300, 600);
+    const harness::Workload workload = options.smoke
+        ? bench::smokeWorkload()
+        : bench::standardWorkload(300, 600);
     const sim::ClusterConfig cluster =
         sim::defaultHeterogeneousCluster();
 

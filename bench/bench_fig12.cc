@@ -22,7 +22,9 @@ main(int argc, char **argv)
 
     const bench::BenchOptions options =
         bench::parseBenchOptions(argc, argv);
-    const harness::Workload workload = bench::sweepWorkload();
+    const harness::Workload workload = options.smoke
+        ? bench::smokeWorkload()
+        : bench::sweepWorkload();
     std::cout << "workload: " << workload.trace.numFunctions()
               << " functions, " << workload.trace.totalInvocations()
               << " invocations per configuration\n\n";

@@ -163,33 +163,6 @@ runnerOptions(const BenchOptions &options)
     return ro;
 }
 
-std::vector<harness::SchemeSummary>
-compareSchemes(const harness::Workload &workload,
-               const sim::ClusterConfig &cluster,
-               const BenchOptions &options)
-{
-    return harness::runAllSchemesParallel(workload, cluster,
-                                          runnerOptions(options));
-}
-
-std::vector<harness::SchemeResult>
-runSchemesParallel(const harness::Workload &workload,
-                   const sim::ClusterConfig &cluster,
-                   const BenchOptions &options)
-{
-    std::vector<harness::SchemeSummary> summaries =
-        compareSchemes(workload, cluster, options);
-    std::vector<harness::SchemeResult> results;
-    results.reserve(summaries.size());
-    for (harness::SchemeSummary &summary : summaries) {
-        harness::SchemeResult result;
-        result.scheme = summary.scheme;
-        result.metrics = std::move(summary.summary.pooled);
-        results.push_back(std::move(result));
-    }
-    return results;
-}
-
 void
 printSchemeComparison(const std::string &title,
                       const std::vector<harness::SchemeSummary> &results)

@@ -71,25 +71,6 @@ BenchOptions parseBenchOptions(int argc, char **argv);
 iceb::harness::RunnerOptions runnerOptions(const BenchOptions &options);
 
 /**
- * The five-scheme comparison through the parallel runner: every
- * scheme runs options.repeats replicates, aggregated per scheme.
- */
-std::vector<iceb::harness::SchemeSummary>
-compareSchemes(const iceb::harness::Workload &workload,
-               const iceb::sim::ClusterConfig &cluster,
-               const BenchOptions &options);
-
-/**
- * Five-scheme run returning one pooled SimulationMetrics per scheme
- * (replicates merged), for benches that analyse per-function or
- * per-sample detail downstream. Ordered as allSchemes().
- */
-std::vector<iceb::harness::SchemeResult>
-runSchemesParallel(const iceb::harness::Workload &workload,
-                   const iceb::sim::ClusterConfig &cluster,
-                   const BenchOptions &options);
-
-/**
  * Print the Fig. 6-style comparison: keep-alive cost and mean service
  * time of every scheme as absolute values and improvements over the
  * first scheme (the OpenWhisk baseline). With more than one replicate

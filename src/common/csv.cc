@@ -1,58 +1,7 @@
 #include "common/csv.hh"
 
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
-
-#include "common/logging.hh"
-
 namespace iceb
 {
-
-CsvReader::CsvReader(std::istream &in, char delimiter)
-    : in_(in), delimiter_(delimiter)
-{
-}
-
-std::optional<CsvRow>
-CsvReader::nextRow()
-{
-    std::string line;
-    if (!std::getline(in_, line))
-        return std::nullopt;
-    // Tolerate CRLF input.
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-
-    CsvRow row;
-    std::string field;
-    bool in_quotes = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (in_quotes) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    field.push_back('"');
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                field.push_back(c);
-            }
-        } else if (c == '"') {
-            in_quotes = true;
-        } else if (c == delimiter_) {
-            row.push_back(std::move(field));
-            field.clear();
-        } else {
-            field.push_back(c);
-        }
-    }
-    row.push_back(std::move(field));
-    ++rows_read_;
-    return row;
-}
 
 CsvWriter::CsvWriter(std::ostream &out, char delimiter)
     : out_(out), delimiter_(delimiter)
@@ -88,42 +37,6 @@ CsvWriter::writeRow(const CsvRow &row)
         out_ << escape(row[i]);
     }
     out_ << '\n';
-}
-
-void
-CsvWriter::writeNumericRow(const std::vector<double> &row)
-{
-    CsvRow text;
-    text.reserve(row.size());
-    for (double value : row) {
-        std::ostringstream oss;
-        oss.precision(17);
-        oss << value;
-        text.push_back(oss.str());
-    }
-    writeRow(text);
-}
-
-double
-csvToDouble(const std::string &field, const char *context)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(field.c_str(), &end);
-    if (end == field.c_str() || errno == ERANGE)
-        fatal("malformed numeric CSV field '", field, "' in ", context);
-    return value;
-}
-
-std::int64_t
-csvToInt(const std::string &field, const char *context)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long value = std::strtoll(field.c_str(), &end, 10);
-    if (end == field.c_str() || errno == ERANGE)
-        fatal("malformed integer CSV field '", field, "' in ", context);
-    return static_cast<std::int64_t>(value);
 }
 
 } // namespace iceb

@@ -1,17 +1,16 @@
 /**
  * @file
- * Minimal CSV reading/writing used by the Azure trace loader and by
- * bench binaries that dump series for external plotting.
+ * Minimal CSV writing, used to serialise traces in the Azure
+ * Functions schema (trace::writeAzureCsv).
  *
- * Supports RFC-4180-style quoting on read (quoted fields, escaped
- * quotes) which is sufficient for the Azure Functions trace schema.
+ * Fields are quoted RFC-4180 style (embedded quotes doubled) only when
+ * they hold the delimiter, a quote or a newline. The matching reader is
+ * trace::AzureCsvRowStream.
  */
 
 #ifndef ICEB_COMMON_CSV_HH
 #define ICEB_COMMON_CSV_HH
 
-#include <istream>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -19,29 +18,8 @@
 namespace iceb
 {
 
-/** One parsed CSV record. */
+/** One CSV record: its fields, unquoted. */
 using CsvRow = std::vector<std::string>;
-
-/**
- * Incremental CSV reader over any std::istream.
- */
-class CsvReader
-{
-  public:
-    /** Wrap a stream; the stream must outlive the reader. */
-    explicit CsvReader(std::istream &in, char delimiter = ',');
-
-    /** Read the next record, or nullopt at end of input. */
-    std::optional<CsvRow> nextRow();
-
-    /** Number of records returned so far. */
-    std::size_t rowsRead() const { return rows_read_; }
-
-  private:
-    std::istream &in_;
-    char delimiter_;
-    std::size_t rows_read_ = 0;
-};
 
 /**
  * CSV writer that quotes fields only when necessary.
@@ -55,21 +33,12 @@ class CsvWriter
     /** Write one record. */
     void writeRow(const CsvRow &row);
 
-    /** Convenience: write a row of doubles with full precision. */
-    void writeNumericRow(const std::vector<double> &row);
-
   private:
     std::string escape(const std::string &field) const;
 
     std::ostream &out_;
     char delimiter_;
 };
-
-/** Parse a CSV field as double; fatal() on malformed input. */
-double csvToDouble(const std::string &field, const char *context);
-
-/** Parse a CSV field as int64; fatal() on malformed input. */
-std::int64_t csvToInt(const std::string &field, const char *context);
 
 } // namespace iceb
 

@@ -55,25 +55,6 @@ perFunctionServiceImprovement(const sim::SimulationMetrics &baseline,
 }
 
 std::vector<double>
-perFunctionKeepAliveImprovement(const sim::SimulationMetrics &baseline,
-                                const sim::SimulationMetrics &test)
-{
-    ICEB_ASSERT(baseline.per_function.size() == test.per_function.size(),
-                "runs cover different function sets");
-    std::vector<double> out;
-    out.reserve(baseline.per_function.size());
-    for (std::size_t fn = 0; fn < baseline.per_function.size(); ++fn) {
-        const auto &b = baseline.per_function[fn];
-        const auto &t = test.per_function[fn];
-        if (b.keep_alive_cost <= 0.0)
-            continue;
-        out.push_back(
-            improvementOver(b.keep_alive_cost, t.keep_alive_cost));
-    }
-    return out;
-}
-
-std::vector<double>
 cohortImprovement(const sim::SimulationMetrics &baseline,
                   const sim::SimulationMetrics &test,
                   const std::vector<FunctionId> &cohort)

@@ -47,14 +47,6 @@ std::vector<double>
 perFunctionServiceImprovement(const sim::SimulationMetrics &baseline,
                               const sim::SimulationMetrics &test);
 
-/**
- * Per-function keep-alive cost improvement of @p test over
- * @p baseline (functions with nonzero baseline cost).
- */
-std::vector<double>
-perFunctionKeepAliveImprovement(const sim::SimulationMetrics &baseline,
-                                const sim::SimulationMetrics &test);
-
 /** Restrict a per-function improvement to a cohort of ids. */
 std::vector<double>
 cohortImprovement(const sim::SimulationMetrics &baseline,

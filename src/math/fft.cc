@@ -29,7 +29,7 @@ void
 fftPow2Impl(std::vector<Complex> &data, bool inverse)
 {
     const std::size_t n = data.size();
-    ICEB_ASSERT(isPowerOfTwo(n), "fftPow2 needs power-of-two length");
+    ICEB_ASSERT(isPowerOfTwo(n), "radix-2 FFT needs a power-of-two length");
     int log2n = 0;
     while ((std::size_t{1} << log2n) < n)
         ++log2n;
@@ -116,18 +116,6 @@ bool
 isPowerOfTwo(std::size_t n)
 {
     return n >= 1 && (n & (n - 1)) == 0;
-}
-
-void
-fftPow2(std::vector<Complex> &data)
-{
-    fftPow2Impl(data, false);
-}
-
-void
-ifftPow2(std::vector<Complex> &data)
-{
-    fftPow2Impl(data, true);
 }
 
 std::vector<Complex>

@@ -38,18 +38,9 @@ using Complex = std::complex<double>;
 bool isPowerOfTwo(std::size_t n);
 
 /**
- * In-place forward FFT of a power-of-two-length complex signal.
- * X[k] = sum_t x[t] * exp(-2*pi*i*k*t/N).
- */
-void fftPow2(std::vector<Complex> &data);
-
-/** In-place inverse FFT of a power-of-two-length complex spectrum. */
-void ifftPow2(std::vector<Complex> &data);
-
-/**
- * Forward DFT of an arbitrary-length complex signal. Dispatches to
- * radix-2 when possible and to Bluestein's algorithm otherwise;
- * O(n log n) in both cases.
+ * Forward DFT X[k] = sum_t x[t] * exp(-2*pi*i*k*t/N) of an
+ * arbitrary-length complex signal. Dispatches to radix-2 when possible
+ * and to Bluestein's algorithm otherwise; O(n log n) in both cases.
  */
 std::vector<Complex> fft(const std::vector<Complex> &data);
 

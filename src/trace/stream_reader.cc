@@ -68,10 +68,11 @@ AzureCsvRowStream::nextLine()
 void
 AzureCsvRowStream::splitFields()
 {
-    // Same grammar as common/csv.hh's CsvReader, but compacted in
-    // place: unescaping only ever shrinks a field, so kept characters
-    // are written back into line_ at the write cursor and each field
-    // becomes a view of the compacted range.
+    // RFC-4180-style fields: a quoted field may hold commas, and a
+    // doubled quote inside it is one literal quote. Fields are
+    // compacted in place: unescaping only ever shrinks a field, so
+    // kept characters are written back into line_ at the write cursor
+    // and each field becomes a view of the compacted range.
     fields_.clear();
     char *data = line_.data();
     std::size_t w = 0;           // write cursor

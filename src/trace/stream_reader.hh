@@ -65,10 +65,11 @@ class FunctionRowSource
 };
 
 /**
- * Chunked reader for the Azure invocation-counts CSV schema: same
- * grammar as common/csv.hh (RFC-4180-ish quoting, CRLF tolerant) but
- * parsed through a fixed-size buffer with zero steady-state
- * allocations, emitting one FunctionRow per data row.
+ * Chunked reader for the Azure invocation-counts CSV schema. It reads
+ * the RFC-4180-style quoting that common/csv.hh's CsvWriter emits and
+ * tolerates CRLF line ends, parsing through a fixed-size buffer with
+ * zero steady-state allocations and emitting one FunctionRow per data
+ * row.
  */
 class AzureCsvRowStream final : public FunctionRowSource
 {

@@ -69,42 +69,6 @@ TEST(UnitsTest, KeepAliveCostScalesLinearly)
 
 // ------------------------------------------------------------------- CSV
 
-TEST(CsvTest, ParsesSimpleRows)
-{
-    std::istringstream in("a,b,c\n1,2,3\n");
-    CsvReader reader(in);
-    auto header = reader.nextRow();
-    ASSERT_TRUE(header.has_value());
-    EXPECT_EQ((*header)[0], "a");
-    auto row = reader.nextRow();
-    ASSERT_TRUE(row.has_value());
-    EXPECT_EQ((*row)[2], "3");
-    EXPECT_FALSE(reader.nextRow().has_value());
-    EXPECT_EQ(reader.rowsRead(), 2u);
-}
-
-TEST(CsvTest, HandlesQuotedFields)
-{
-    std::istringstream in("\"hello, world\",\"say \"\"hi\"\"\"\n");
-    CsvReader reader(in);
-    auto row = reader.nextRow();
-    ASSERT_TRUE(row.has_value());
-    ASSERT_EQ(row->size(), 2u);
-    EXPECT_EQ((*row)[0], "hello, world");
-    EXPECT_EQ((*row)[1], "say \"hi\"");
-}
-
-TEST(CsvTest, HandlesCrlfAndEmptyFields)
-{
-    std::istringstream in("a,,c\r\n");
-    CsvReader reader(in);
-    auto row = reader.nextRow();
-    ASSERT_TRUE(row.has_value());
-    ASSERT_EQ(row->size(), 3u);
-    EXPECT_EQ((*row)[1], "");
-    EXPECT_EQ((*row)[2], "c");
-}
-
 TEST(CsvTest, WriterQuotesOnlyWhenNeeded)
 {
     std::ostringstream out;
@@ -112,26 +76,6 @@ TEST(CsvTest, WriterQuotesOnlyWhenNeeded)
     writer.writeRow({"plain", "with,comma", "with\"quote"});
     EXPECT_EQ(out.str(),
               "plain,\"with,comma\",\"with\"\"quote\"\n");
-}
-
-TEST(CsvTest, RoundTrip)
-{
-    std::ostringstream out;
-    CsvWriter writer(out);
-    writer.writeRow({"x,y", "z", "\"q\""});
-    std::istringstream in(out.str());
-    CsvReader reader(in);
-    auto row = reader.nextRow();
-    ASSERT_TRUE(row.has_value());
-    EXPECT_EQ((*row)[0], "x,y");
-    EXPECT_EQ((*row)[1], "z");
-    EXPECT_EQ((*row)[2], "\"q\"");
-}
-
-TEST(CsvTest, NumericParsers)
-{
-    EXPECT_DOUBLE_EQ(csvToDouble("3.25", "test"), 3.25);
-    EXPECT_EQ(csvToInt("-17", "test"), -17);
 }
 
 // ----------------------------------------------------------------- Table

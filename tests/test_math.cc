@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit and property tests for the math substrate: matrices, linear
- * solving, polynomial fitting, the harmonic least-squares fit,
- * statistics and the chi-square test.
+ * solving, polynomial fitting, the harmonic least-squares fit and
+ * statistics.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "math/chi2.hh"
 #include "math/fft.hh"
 #include "math/harmonics.hh"
 #include "math/matrix.hh"
@@ -588,67 +587,6 @@ TEST(StatsTest, ErrorMetrics)
     EXPECT_DOUBLE_EQ(meanAbsoluteError(a, b), 1.0);
     EXPECT_NEAR(rootMeanSquaredError(a, b), std::sqrt(5.0 / 3.0), 1e-12);
     EXPECT_DOUBLE_EQ(meanAbsoluteError(a, a), 0.0);
-}
-
-// ------------------------------------------------------------------ Chi2
-
-TEST(Chi2Test, RegularizedGammaBoundaries)
-{
-    EXPECT_DOUBLE_EQ(regularizedLowerGamma(1.0, 0.0), 0.0);
-    EXPECT_NEAR(regularizedLowerGamma(1.0, 1.0), 1.0 - std::exp(-1.0),
-                1e-10);
-    EXPECT_NEAR(regularizedLowerGamma(0.5, 100.0), 1.0, 1e-9);
-}
-
-TEST(Chi2Test, ChiSquareCdfKnownValues)
-{
-    // chi2 with 2 dof is Exp(1/2): CDF(x) = 1 - exp(-x/2).
-    for (double x : {0.5, 1.0, 2.0, 5.0}) {
-        EXPECT_NEAR(chiSquareCdf(x, 2.0), 1.0 - std::exp(-x / 2.0),
-                    1e-9);
-    }
-    // Median of chi2(1) is about 0.4549.
-    EXPECT_NEAR(chiSquareCdf(0.4549, 1.0), 0.5, 1e-3);
-}
-
-TEST(Chi2Test, StatisticZeroForPerfectMatch)
-{
-    const std::vector<double> obs{5.0, 10.0, 15.0};
-    EXPECT_DOUBLE_EQ(pearsonChiSquareStatistic(obs, obs), 0.0);
-}
-
-TEST(Chi2Test, StatisticGrowsWithMismatch)
-{
-    const std::vector<double> expected{10.0, 10.0, 10.0};
-    const double small = pearsonChiSquareStatistic(
-        {11.0, 9.0, 10.0}, expected);
-    const double large = pearsonChiSquareStatistic(
-        {20.0, 2.0, 8.0}, expected);
-    EXPECT_LT(small, large);
-}
-
-TEST(Chi2Test, GoodFitHasHighConfidence)
-{
-    std::vector<double> expected, observed;
-    for (int i = 0; i < 30; ++i) {
-        expected.push_back(20.0 + i);
-        observed.push_back(20.0 + i + ((i % 2 == 0) ? 0.5 : -0.5));
-    }
-    const GoodnessOfFit fit =
-        chiSquareGoodnessOfFit(observed, expected, 3);
-    EXPECT_GT(fit.confidence, 0.95);
-}
-
-TEST(Chi2Test, BadFitHasLowConfidence)
-{
-    std::vector<double> expected, observed;
-    for (int i = 0; i < 30; ++i) {
-        expected.push_back(20.0);
-        observed.push_back((i % 2 == 0) ? 5.0 : 40.0);
-    }
-    const GoodnessOfFit fit =
-        chiSquareGoodnessOfFit(observed, expected, 3);
-    EXPECT_LT(fit.confidence, 0.01);
 }
 
 } // namespace

@@ -376,6 +376,48 @@ TEST(AzureLoaderTest, RoundTripThroughWriter)
     }
 }
 
+TEST(AzureLoaderTest, ParsesQuotedFieldsCrlfAndEmptyMetadata)
+{
+    // The quoted name holds a comma and an escaped quote; empty
+    // memory and exec columns take the loader's defaults.
+    std::istringstream in(
+        "name,memory_mb,avg_exec_ms,m1,m2\r\n"
+        "\"fn, \"\"A\"\"\",,,4,0\r\n"
+        "fnB,256,,1,2\r\n");
+    const AzureLoadOptions options;
+    const Trace trace = loadAzureCsv(in, options);
+    ASSERT_EQ(trace.numFunctions(), 2u);
+    EXPECT_EQ(trace.numIntervals(), 2u);
+    EXPECT_EQ(trace.function(0).name, "fn, \"A\"");
+    EXPECT_EQ(trace.function(0).memory_mb, options.default_memory_mb);
+    EXPECT_EQ(trace.function(0).avg_exec_ms, options.default_exec_ms);
+    EXPECT_EQ(trace.function(0).concurrency,
+              (std::vector<std::uint32_t>{4, 0}));
+    EXPECT_EQ(trace.function(1).name, "fnB");
+    EXPECT_EQ(trace.function(1).memory_mb, 256);
+    EXPECT_EQ(trace.function(1).avg_exec_ms, options.default_exec_ms);
+    EXPECT_EQ(trace.function(1).concurrency,
+              (std::vector<std::uint32_t>{1, 2}));
+}
+
+TEST(AzureLoaderTest, RoundTripsNameThatNeedsQuoting)
+{
+    Trace original(3, 60'000);
+    FunctionSeries series = makeSeries({0, 3, 1});
+    series.name = "app \"x\", handler";
+    original.addFunction(std::move(series));
+    std::ostringstream out;
+    writeAzureCsv(out, original);
+    std::istringstream in(out.str());
+    const Trace loaded = loadAzureCsv(in);
+    ASSERT_EQ(loaded.numFunctions(), 1u);
+    EXPECT_EQ(loaded.function(0).name, "app \"x\", handler");
+    EXPECT_EQ(loaded.function(0).memory_mb, 128);
+    EXPECT_EQ(loaded.function(0).avg_exec_ms, 500);
+    EXPECT_EQ(loaded.function(0).concurrency,
+              original.function(0).concurrency);
+}
+
 TEST(AzureLoaderDeathTest, RejectsMalformedRows)
 {
     std::istringstream in(
