@@ -61,7 +61,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -71,10 +70,12 @@
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hh"
 #include "math/fft.hh"
 #include "math/harmonics.hh"
 #include "math/matrix.hh"
@@ -1043,21 +1044,6 @@ usage(int status)
     std::exit(status);
 }
 
-/** Plain decimal digits only: no sign, no trailing text. */
-std::size_t
-parseCount(const std::string &flag, const std::string &text)
-{
-    std::size_t value = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end) {
-        std::cerr << "bench_fip: bad value '" << text << "' for " << flag
-                  << "\n";
-        usage(2);
-    }
-    return value;
-}
-
 } // namespace
 
 int
@@ -1073,7 +1059,13 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        const auto count = [&] { return parseCount(arg, next()); };
+        const auto count = [&] {
+            const std::optional<std::uint64_t> value =
+                iceb::parseUintFlag("bench_fip", arg, next().c_str());
+            if (!value)
+                usage(2);
+            return static_cast<std::size_t>(*value);
+        };
         if (arg == "--functions") {
             cfg.functions = count();
         } else if (arg == "--intervals") {

@@ -66,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "core/icebreaker.hh"
 #include "harness/baseline_gate.hh"
 #include "obs/recorder.hh"
@@ -486,17 +487,11 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         auto count = [&]() -> std::size_t {
-            const std::string text = next();
-            char *end = nullptr;
-            const unsigned long long value =
-                std::strtoull(text.c_str(), &end, 0);
-            if (end == text.c_str() || *end != '\0' || value == 0) {
-                std::cerr << "bench_scale: bad value '" << text
-                          << "' for " << arg
-                          << " (want a positive integer)\n";
+            const std::optional<std::uint64_t> value =
+                parseUintFlag("bench_scale", arg, next().c_str(), 1);
+            if (!value)
                 usage(1);
-            }
-            return static_cast<std::size_t>(value);
+            return static_cast<std::size_t>(*value);
         };
         if (arg == "--functions") {
             cfg.num_functions = count();

@@ -69,10 +69,12 @@
 #include <iterator>
 #include <limits>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "core/icebreaker.hh"
@@ -539,16 +541,11 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         auto count = [&]() -> std::size_t {
-            const std::string text = next();
-            char *end = nullptr;
-            const unsigned long long value =
-                std::strtoull(text.c_str(), &end, 0);
-            if (end == text.c_str() || *end != '\0' || value == 0) {
-                std::cerr << "bench_sim: bad value '" << text << "' for "
-                          << arg << " (want a positive integer)\n";
+            const std::optional<std::uint64_t> value =
+                parseUintFlag("bench_sim", arg, next().c_str(), 1);
+            if (!value)
                 usage(1);
-            }
-            return static_cast<std::size_t>(value);
+            return static_cast<std::size_t>(*value);
         };
         if (arg == "--functions") {
             cfg.num_functions = count();
@@ -577,8 +574,6 @@ parseArgs(int argc, char **argv)
         // noisy CI runner: smoke runs are ~50 ms, so this stays cheap.
         cfg.repeats = 7;
     }
-    if (cfg.threads == 0)
-        cfg.threads = 1;
     return cfg;
 }
 

@@ -1,10 +1,10 @@
 #include "bench/bench_util.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
+#include <optional>
 #include <string_view>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "sim/metrics_summary.hh"
 
@@ -60,26 +60,6 @@ usage(const char *prog, int status)
     std::exit(status);
 }
 
-/**
- * Decimal, or hex/octal by prefix (strtoull base 0). strtoull alone
- * would also take a sign or leading space ("-1" wraps to 2^64 - 1),
- * so the text must start with a digit.
- */
-std::uint64_t
-parseUint(const char *prog, std::string_view flag, const char *text)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE) {
-        std::cerr << prog << ": bad value '" << text << "' for " << flag
-                  << "\n";
-        usage(prog, 1);
-    }
-    return static_cast<std::uint64_t>(value);
-}
-
 /** "mean +-stddev" with pct formatting; bare mean for single runs. */
 std::string
 pctWithSpread(const sim::ValueStats &stats)
@@ -117,22 +97,22 @@ parseBenchOptions(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto number = [&](std::string_view flag,
+                                std::uint64_t lo = 0) {
+            const std::optional<std::uint64_t> parsed =
+                parseUintFlag(prog, flag, value(flag), lo);
+            if (!parsed)
+                usage(prog, 1);
+            return *parsed;
+        };
         if (arg == "--help" || arg == "-h") {
             usage(prog, 0);
         } else if (arg == "--threads") {
-            options.threads =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
+            options.threads = static_cast<std::size_t>(number(arg));
         } else if (arg == "--repeats") {
-            options.repeats =
-                static_cast<std::size_t>(parseUint(prog, arg,
-                                                   value(arg)));
-            if (options.repeats == 0) {
-                std::cerr << prog << ": --repeats must be >= 1\n";
-                usage(prog, 1);
-            }
+            options.repeats = static_cast<std::size_t>(number(arg, 1));
         } else if (arg == "--seeds" || arg == "--seed") {
-            options.base_seed = parseUint(prog, arg, value(arg));
+            options.base_seed = number(arg);
         } else if (arg == "--smoke") {
             options.smoke = true;
         } else if (arg == "--trace-out") {

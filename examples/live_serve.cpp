@@ -1,9 +1,9 @@
 /**
  * @file
  * Serving-mode quickstart: the same IceBreaker decision engine, first
- * batch (SimDriver), then streamed event-by-event (ReplayDriver) with
- * optional wall-clock pacing and live probe export — and a check that
- * both paths produce identical results.
+ * batch (sim::runSimulation), then streamed event-by-event
+ * (ReplayDriver) with optional wall-clock pacing and live probe export
+ * — and a check that both paths produce identical results.
  *
  * The point of the exercise: the engine never sees the trace. It is
  * fed per-interval arrival observations and execution outcomes as
@@ -26,18 +26,22 @@
  *   --smoke           small workload (48 fns x 60 intervals) for CI
  */
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
+#include <optional>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "harness/experiment.hh"
 #include "harness/registry.hh"
 #include "serve/drivers.hh"
 #include "serve/stats_exporter.hh"
+#include "sim/simulator.hh"
 
 namespace
 {
@@ -68,24 +72,23 @@ parseCli(int argc, char **argv)
             }
             return argv[++i];
         };
-        const auto number = [&](auto parse) {
-            const std::string text = value();
-            try {
-                std::size_t used = 0;
-                const auto parsed = parse(text, &used);
-                if (used != text.size())
-                    throw std::invalid_argument(text);
-                return parsed;
-            } catch (const std::exception &) {
-                std::cerr << "bad value for " << arg << ": " << text
-                          << "\n";
+        const auto count = [&](std::uint64_t hi) {
+            const std::optional<std::uint64_t> parsed =
+                parseUintFlag("live_serve", arg, value().c_str(), 0, hi);
+            if (!parsed)
                 std::exit(2);
-            }
+            return *parsed;
         };
         if (arg == "--pace") {
-            cli.pace = number([](const std::string &s, std::size_t *n) {
-                return std::stod(s, n);
-            });
+            const std::string text = value();
+            char *end = nullptr;
+            errno = 0;
+            cli.pace = std::strtod(text.c_str(), &end);
+            if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+                std::cerr << "live_serve: bad value '" << text
+                          << "' for " << arg << "\n";
+                std::exit(2);
+            }
         } else if (arg == "--probe-out") {
             cli.probe_out = value();
         } else if (arg == "--trace-out") {
@@ -93,23 +96,14 @@ parseCli(int argc, char **argv)
         } else if (arg == "--stats-json") {
             cli.stats_json = value();
         } else if (arg == "--stats-port") {
-            cli.stats_port = static_cast<int>(
-                number([](const std::string &s, std::size_t *n) {
-                    return std::stoul(s, n);
-                }));
+            cli.stats_port = static_cast<int>(count(65535));
         } else if (arg == "--smoke") {
             cli.intervals = 60;
             cli.functions = 48;
         } else if (arg == "--intervals") {
-            cli.intervals =
-                number([](const std::string &s, std::size_t *n) {
-                    return std::stoul(s, n);
-                });
+            cli.intervals = static_cast<std::size_t>(count(SIZE_MAX));
         } else if (arg == "--functions") {
-            cli.functions =
-                number([](const std::string &s, std::size_t *n) {
-                    return std::stoul(s, n);
-                });
+            cli.functions = static_cast<std::size_t>(count(SIZE_MAX));
         } else {
             std::cerr << "unknown flag " << arg << "\n";
             std::exit(2);
@@ -135,9 +129,8 @@ main(int argc, char **argv)
     // ------------------------------------------------ batch anchor
     const std::unique_ptr<serve::DecisionEngine> batch_engine =
         harness::makeDecisionEngineByName("icebreaker");
-    serve::SimDriver batch(workload.trace, workload.profiles, cluster,
-                           *batch_engine);
-    const sim::SimulationMetrics batch_metrics = batch.run();
+    const sim::SimulationMetrics batch_metrics = sim::runSimulation(
+        workload.trace, workload.profiles, cluster, *batch_engine);
 
     // -------------------------------------------- streaming replay
     // A fresh engine: the replay must rebuild all history state from
@@ -206,7 +199,7 @@ main(int argc, char **argv)
 
     TextTable table("Batch vs streamed replay (must agree exactly)");
     table.setHeader({"path", "keep-alive $", "svc (ms)", "warm"});
-    table.addRow({"SimDriver (batch)",
+    table.addRow({"runSimulation (batch)",
                   TextTable::num(batch_metrics.totalKeepAliveCost(), 4),
                   TextTable::num(batch_metrics.meanServiceMs(), 2),
                   TextTable::pct(batch_metrics.warmStartFraction())});

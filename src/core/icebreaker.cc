@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
 #include "obs/probes.hh"
 #include "obs/recorder.hh"
 #include "policies/policy_util.hh"
@@ -30,9 +29,7 @@ IceBreakerPolicy::initialize(const sim::SimContext &ctx)
     for (std::size_t fn = 0; fn < n; ++fn) {
         functions_.emplace_back(config_.pdm.window);
         FunctionState &state = functions_.back();
-        const std::size_t slot = pool_.addFunction(config_.fip);
-        ICEB_ASSERT(slot == fn, "pool slots must mirror function ids");
-        (void)slot;
+        pool_.addFunction(config_.fip);
         const workload::FunctionProfile &profile = (*ctx.profiles)[fn];
         state.speedup_raw = profile.interServerSpeedup();
         state.memory_raw = std::min(
@@ -197,9 +194,6 @@ IceBreakerPolicy::onIntervalStart(IntervalIndex interval,
             pdm_->noteWarmed(score.fn, tier);
         if (on_other > 0)
             pdm_->noteWarmed(score.fn, otherTier(tier));
-        functions_[score.fn].last_warm_tier =
-            on_primary > 0 ? tier
-                           : (on_other > 0 ? otherTier(tier) : tier);
     }
 }
 

@@ -124,7 +124,6 @@ class IceBreakerPolicy : public sim::Policy
         double last_prediction = 0.0;
         /** Steps until the next predicted invocation (0 = none). */
         std::uint32_t next_predicted_gap = 0;
-        Tier last_warm_tier = Tier::HighEnd;
         double speedup_raw = 1.0; //!< I_s
         double memory_raw = 0.0;  //!< M_r
 
@@ -134,11 +133,10 @@ class IceBreakerPolicy : public sim::Policy
     IceBreakerConfig config_;
     std::vector<FunctionState> functions_;
     /**
-     * Batched FIP state for every function, slot id == FunctionId
-     * (functions are registered in id order and never retired here).
-     * Replaces the per-function FftPredictor members: one
-     * forecastAll() per interval forecasts the whole fleet through
-     * the SoA block kernels.
+     * Batched FIP state for every function: lane i is FunctionId i
+     * (functions are registered in id order). One forecastAll() per
+     * interval forecasts the whole fleet through the SoA block
+     * kernels.
      */
     predictors::ForecastPool pool_;
     std::unique_ptr<Pdm> pdm_;

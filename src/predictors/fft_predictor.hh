@@ -45,6 +45,8 @@ struct FftPredictorConfig
     std::size_t harmonics = 10;     //!< top-n components kept
     std::size_t poly_degree = 2;    //!< trend model order
     std::size_t min_samples = 8;    //!< below this, predict the mean
+
+    bool operator==(const FftPredictorConfig &) const = default;
 };
 
 /**

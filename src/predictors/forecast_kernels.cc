@@ -245,7 +245,7 @@ forecastBlock(const BlockContext &ctx, const bool *active,
     ICEB_ASSERT(n >= 8, "forecastBlock needs window >= 8");
     ICEB_ASSERT(ctx.plan != nullptr && ctx.powers != nullptr &&
                     ctx.trend_system != nullptr,
-                "forecastBlock needs prepared group caches");
+                "forecastBlock needs prepared length caches");
 
     double *window = scratch.window.data();
     double *aty = scratch.aty.data();

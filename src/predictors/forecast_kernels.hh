@@ -13,8 +13,8 @@
  * FftPredictor path:
  *
  *  - the trend fit reuses the shared SeriesPowerTable chain powers
- *    and replays one FactoredSystem per group (bit-identical to
- *    polyfitSeries, see math/matrix.hh);
+ *    and replays one FactoredSystem per fit length (bit-identical
+ *    to polyfitSeries, see math/matrix.hh);
  *  - the batched FFT runs the same butterfly/chirp sequence as
  *    FftPlan::forwardReal from the plan's own tables, with complex
  *    arithmetic written out in the operand order std::complex lowers
@@ -46,8 +46,8 @@ namespace iceb::predictors::kernels
 constexpr std::size_t kLanes = 8;
 
 /**
- * Immutable inputs shared by every block a pool group fits at one
- * length: the cached plan and fit tables for that length.
+ * Immutable inputs shared by every block a pool fits at one length:
+ * the cached plan and fit tables for that length.
  */
 struct BlockContext
 {

@@ -2,18 +2,18 @@
  * @file
  * Batched structure-of-arrays forecasting engine for the FIP.
  *
- * A ForecastPool owns the invocation history of every registered
- * function as contiguous per-lane ring buffers, grouped by predictor
- * configuration. forecastAll() forecasts kLanes functions per block
- * through the SoA kernels in forecast_kernels.cc, optionally
- * thread-parallel on the shared TaskExecutor: blocks go to
- * participants by a fixed interleaving of a deterministic task list
- * and every lane's arithmetic is lane-local, so results are
- * byte-identical for any --threads value.
+ * A ForecastPool holds one FftPredictorConfig and the invocation
+ * history of every registered function as contiguous per-lane ring
+ * buffers; lane i is function i. forecastAll() forecasts kLanes
+ * functions per block (block b is lanes 8b to 8b+7) through the SoA
+ * kernels in forecast_kernels.cc, optionally thread-parallel on the
+ * shared TaskExecutor: blocks go to participants by a fixed
+ * interleaving and every lane's arithmetic is lane-local, so results
+ * are byte-identical for any --threads value.
  *
  * Every lane holding at least min_samples samples is fitted by
  * kernels::forecastBlock at n = its sample count, warm-up included:
- * each group caches one FftPlan, SeriesPowerTable and factored trend
+ * the pool caches one FftPlan, SeriesPowerTable and factored trend
  * system per length it has seen, built serially before dispatch. A
  * block whose lanes hold different counts runs one kernel pass per
  * distinct count. Silent lanes forecast zeros, and lanes below
@@ -42,7 +42,7 @@
 namespace iceb::predictors
 {
 
-/** Pool-wide knobs (per-function knobs ride in FftPredictorConfig). */
+/** Pool-wide knobs (the FIP's own ride in FftPredictorConfig). */
 struct ForecastPoolOptions
 {
     /**
@@ -54,8 +54,8 @@ struct ForecastPoolOptions
 };
 
 /**
- * The batched forecaster. Functions are addressed by the dense slot
- * id addFunction returns; slots are reused after removeFunction.
+ * The batched forecaster. Functions are addressed by the dense id
+ * addFunction returns, in registration order.
  */
 class ForecastPool
 {
@@ -63,43 +63,27 @@ class ForecastPool
     explicit ForecastPool(ForecastPoolOptions options = {});
 
     /**
-     * Register a function; returns its slot id. The config's
-     * min_samples must be at least 8, the kernels' shortest fit.
+     * Register a function; returns its id. The first call fixes the
+     * pool's config, whose min_samples must be at least 8, the
+     * kernels' shortest fit; every later call must pass the same one.
      */
     std::size_t addFunction(const FftPredictorConfig &config);
 
-    /** Retire a slot (its lane and id are recycled). */
-    void removeFunction(std::size_t slot);
-
     /** Append one interval's observation (FftPredictor::observe). */
-    void observe(std::size_t slot, double concurrency);
-
-    /** Clear a slot's history (FftPredictor::reset). */
-    void reset(std::size_t slot);
-
-    /** Samples currently held in the slot's window. */
-    std::size_t sampleCount(std::size_t slot) const;
-
-    /** Live (non-retired) function count. */
-    std::size_t size() const { return live_count_; }
-
-    /** Horizon of the most recent forecastAll (0 before the first). */
-    std::size_t horizon() const { return horizon_; }
-
-    const ForecastPoolOptions &options() const { return options_; }
+    void observe(std::size_t fn, double concurrency);
 
     /**
-     * Forecast the next @p horizon intervals for every live slot.
-     * Results are read back per slot via forecast(); retired slots
-     * keep zeros.
+     * Forecast the next @p horizon intervals for every function.
+     * Results are read back per function via forecast().
      */
     void forecastAll(std::size_t horizon);
 
     /**
-     * The @p horizon values of @p slot from the last forecastAll
-     * (element 0 is the next interval's prediction).
+     * The @p horizon values of @p fn from the last forecastAll
+     * (element 0 is the next interval's prediction). @p fn must have
+     * been registered before that call.
      */
-    const double *forecast(std::size_t slot) const;
+    const double *forecast(std::size_t fn) const;
 
   private:
     /** Kernel tables for fitting windows of one length n. */
@@ -110,26 +94,6 @@ class ForecastPool
         math::FactoredSystem trend_system;
     };
 
-    struct Group
-    {
-        FftPredictorConfig cfg;
-        std::size_t lanes = 0; //!< allocated lanes (incl. free)
-        /** Lane-major ring storage: ring[lane * window + pos]. */
-        std::vector<double> ring;
-        std::vector<std::uint32_t> head;
-        std::vector<std::uint32_t> count;
-        std::vector<std::uint32_t> slot_of_lane;
-        std::vector<std::uint32_t> free_lanes;
-        /** Shared kernel tables indexed by sample count (0..window). */
-        std::vector<LengthCache> lengths;
-    };
-
-    struct SlotRef
-    {
-        std::uint32_t group = 0;
-        std::uint32_t lane = 0;
-    };
-
     /** Per-worker scratch: block buffers + the SoA horizon output. */
     struct WorkerScratch
     {
@@ -137,28 +101,22 @@ class ForecastPool
         std::vector<double> horizon_tmp;
     };
 
-    struct BlockTask
-    {
-        std::uint32_t group = 0;
-        std::uint32_t first_lane = 0;
-    };
-
-    std::size_t groupFor(const FftPredictorConfig &config);
-    /** Build @p group's kernel tables for fits of length @p n. */
-    static void ensureLengthCache(Group &group, std::size_t n);
-    void runBlock(const Group &group, const BlockTask &task,
-                  WorkerScratch &scratch);
+    /** Build the kernel tables for fits of length @p n. */
+    void ensureLengthCache(std::size_t n);
+    void runBlock(std::size_t block, WorkerScratch &scratch);
 
     ForecastPoolOptions options_;
-    std::vector<Group> groups_;
-    std::vector<SlotRef> slots_;
-    std::vector<std::uint32_t> free_slots_;
-    std::size_t live_count_ = 0;
+    FftPredictorConfig cfg_;
+    /** Lane-major ring storage: ring_[lane * window + pos]. */
+    std::vector<double> ring_;
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint32_t> count_;
+    /** Shared kernel tables indexed by sample count (0..window). */
+    std::vector<LengthCache> lengths_;
 
     std::size_t horizon_ = 0;
-    /** Slot-major results: forecasts_[slot * horizon_ + step]. */
+    /** Lane-major results: forecasts_[lane * horizon_ + step]. */
     std::vector<double> forecasts_;
-    std::vector<BlockTask> tasks_;
     std::vector<WorkerScratch> workers_;
 };
 

@@ -13,37 +13,6 @@
 namespace iceb::serve
 {
 
-SimDriver::SimDriver(
-    const trace::Trace &tr,
-    const std::vector<workload::FunctionProfile> &profiles,
-    const sim::ClusterConfig &cluster, DecisionEngine &engine,
-    sim::SimulatorOptions options)
-    : trace_(&tr), profiles_(profiles), cluster_(cluster),
-      engine_(engine), options_(options)
-{
-}
-
-SimDriver::SimDriver(
-    sim::TraceSource &source,
-    const std::vector<workload::FunctionProfile> &profiles,
-    const sim::ClusterConfig &cluster, DecisionEngine &engine,
-    sim::SimulatorOptions options)
-    : source_(&source), profiles_(profiles), cluster_(cluster),
-      engine_(engine), options_(options)
-{
-}
-
-sim::SimulationMetrics
-SimDriver::run()
-{
-    if (source_ != nullptr) {
-        return sim::runSimulation(*source_, profiles_, cluster_,
-                                  engine_, options_);
-    }
-    return sim::runSimulation(*trace_, profiles_, cluster_, engine_,
-                              options_);
-}
-
 ReplayDriver::ReplayDriver(
     const trace::Trace &tr,
     const std::vector<workload::FunctionProfile> &profiles,

@@ -1,11 +1,11 @@
 /**
  * @file
- * Drivers that feed a DecisionEngine.
+ * ReplayDriver: streams a recorded trace through a DecisionEngine.
  *
- * SimDriver is the batch adapter: it binds an engine into the
- * discrete-event Simulator exactly like a bare policy, so an
- * engine-wrapped run produces byte-identical SimulationMetrics — the
- * regression anchor proving the serving boundary adds no behaviour.
+ * A DecisionEngine is a Policy, so a batch run is plain
+ * sim::runSimulation on it, and produces SimulationMetrics
+ * byte-identical to the bare policy's: the regression anchor proving
+ * the serving boundary adds no behaviour.
  *
  * ReplayDriver replays a recorded trace through the engine one event
  * at a time over the Simulator's incremental stepping API, optionally
@@ -32,36 +32,6 @@ namespace iceb::serve
 {
 
 class StatsExporter; // stats_exporter.hh
-
-/**
- * Batch driver: one engine-wrapped simulation run.
- */
-class SimDriver
-{
-  public:
-    /** All references are borrowed for the driver's lifetime. */
-    SimDriver(const trace::Trace &tr,
-              const std::vector<workload::FunctionProfile> &profiles,
-              const sim::ClusterConfig &cluster, DecisionEngine &engine,
-              sim::SimulatorOptions options = {});
-
-    /** As above, over an external workload source (streamed runs). */
-    SimDriver(sim::TraceSource &source,
-              const std::vector<workload::FunctionProfile> &profiles,
-              const sim::ClusterConfig &cluster, DecisionEngine &engine,
-              sim::SimulatorOptions options = {});
-
-    /** Run the whole trace; identical to runSimulation on the engine. */
-    sim::SimulationMetrics run();
-
-  private:
-    const trace::Trace *trace_ = nullptr;
-    sim::TraceSource *source_ = nullptr;
-    const std::vector<workload::FunctionProfile> &profiles_;
-    const sim::ClusterConfig &cluster_;
-    DecisionEngine &engine_;
-    sim::SimulatorOptions options_;
-};
 
 /** Progress snapshot passed to ReplayOptions::on_interval. */
 struct ReplayProgress
@@ -126,7 +96,7 @@ class ReplayDriver
 
     /**
      * Replay the whole trace. Returns metrics byte-identical to
-     * SimDriver::run with the same SimulatorOptions.
+     * sim::runSimulation on the engine with the same SimulatorOptions.
      */
     sim::SimulationMetrics run();
 

@@ -148,6 +148,31 @@ TEST(ForecastPoolDeathTest, RejectsMinSamplesBelowKernelMinimum)
     EXPECT_DEATH(pool.addFunction(config), "min_samples");
 }
 
+TEST(ForecastPoolDeathTest, RejectsASecondConfig)
+{
+    // The first addFunction fixes the pool's one config.
+    FftPredictorConfig config;
+    config.window = 16;
+    ForecastPool pool;
+    pool.addFunction(config);
+    FftPredictorConfig other = config;
+    other.harmonics = 3;
+    EXPECT_DEATH(pool.addFunction(other), "one FIP config");
+}
+
+TEST(ForecastPoolDeathTest, RejectsForecastOfFunctionAddedAfterForecastAll)
+{
+    // The last forecastAll holds results for the functions present
+    // then; a later arrival has none until the next one.
+    FftPredictorConfig config;
+    config.window = 16;
+    ForecastPool pool;
+    pool.addFunction(config);
+    pool.forecastAll(4);
+    const std::size_t late = pool.addFunction(config);
+    EXPECT_DEATH(pool.forecast(late), "added after forecastAll");
+}
+
 TEST(ForecastPoolTest, BitIdenticalMoreLanesThanOneBlock)
 {
     // > kLanes functions forces multiple blocks incl. a partial tail.
@@ -167,125 +192,6 @@ TEST(ForecastPoolTest, SilentFunctionForecastsZeros)
     pool.forecastAll(6);
     for (std::size_t step = 0; step < 6; ++step)
         EXPECT_EQ(bits(pool.forecast(slot)[step]), bits(0.0));
-}
-
-TEST(ForecastPoolTest, MixedConfigPools)
-{
-    // Functions with different configs land in different groups but
-    // one forecastAll covers them all, each bit-identical to its own
-    // scalar reference.
-    std::vector<FftPredictorConfig> configs(4);
-    configs[0].window = 16;
-    configs[1].window = 60;
-    configs[2].window = 16;
-    configs[2].harmonics = 3;
-    configs[3].window = 120;
-
-    ForecastPool pool;
-    std::vector<FftPredictor> scalar;
-    const std::size_t functions = 12;
-    for (std::size_t fn = 0; fn < functions; ++fn) {
-        const FftPredictorConfig &config = configs[fn % configs.size()];
-        EXPECT_EQ(pool.addFunction(config), fn);
-        scalar.emplace_back(config);
-    }
-    std::vector<double> golden;
-    for (std::size_t t = 0; t < 150; ++t) {
-        for (std::size_t fn = 0; fn < functions; ++fn) {
-            const double v = signalAt(fn, t);
-            pool.observe(fn, v);
-            scalar[fn].observe(v);
-        }
-        pool.forecastAll(11);
-        for (std::size_t fn = 0; fn < functions; ++fn) {
-            scalar[fn].forecastHorizon(11, golden);
-            expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
-        }
-    }
-}
-
-// ------------------------------------------------- pool slot lifecycle
-
-TEST(ForecastPoolTest, MidStreamArrivalAndRetirement)
-{
-    FftPredictorConfig config;
-    config.window = 16;
-    ForecastPool pool;
-    std::vector<std::unique_ptr<FftPredictor>> scalar;
-    std::vector<std::size_t> slots;
-    for (std::size_t fn = 0; fn < 6; ++fn) {
-        slots.push_back(pool.addFunction(config));
-        scalar.push_back(std::make_unique<FftPredictor>(config));
-    }
-
-    std::vector<double> golden;
-    const auto step_all = [&](std::size_t t) {
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (scalar[i] == nullptr)
-                continue;
-            const double v = signalAt(i, t);
-            pool.observe(slots[i], v);
-            scalar[i]->observe(v);
-        }
-        pool.forecastAll(9);
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (scalar[i] == nullptr)
-                continue;
-            scalar[i]->forecastHorizon(9, golden);
-            expectHorizonBitsEqual(pool.forecast(slots[i]), golden, i, t);
-        }
-    };
-
-    std::size_t t = 0;
-    for (; t < 25; ++t)
-        step_all(t);
-
-    // Retire two mid-stream functions...
-    pool.removeFunction(slots[1]);
-    scalar[1].reset();
-    pool.removeFunction(slots[4]);
-    scalar[4].reset();
-    EXPECT_EQ(pool.size(), 4u);
-    for (; t < 40; ++t)
-        step_all(t);
-
-    // ...then add new arrivals, which must reuse the freed slots and
-    // start from an empty history.
-    const std::size_t reused = pool.addFunction(config);
-    EXPECT_TRUE(reused == slots[1] || reused == slots[4]);
-    slots.push_back(reused);
-    scalar.push_back(std::make_unique<FftPredictor>(config));
-    const std::size_t reused2 = pool.addFunction(config);
-    EXPECT_TRUE(reused2 == slots[1] || reused2 == slots[4]);
-    EXPECT_NE(reused2, reused);
-    slots.push_back(reused2);
-    scalar.push_back(std::make_unique<FftPredictor>(config));
-    EXPECT_EQ(pool.size(), 6u);
-    for (; t < 70; ++t)
-        step_all(t);
-}
-
-TEST(ForecastPoolTest, ResetMirrorsScalarReset)
-{
-    FftPredictorConfig config;
-    config.window = 12;
-    ForecastPool pool;
-    FftPredictor scalar(config);
-    const std::size_t slot = pool.addFunction(config);
-    std::vector<double> golden;
-    for (std::size_t t = 0; t < 30; ++t) {
-        const double v = signalAt(0, t);
-        pool.observe(slot, v);
-        scalar.observe(v);
-        if (t == 20) {
-            pool.reset(slot);
-            scalar.reset();
-        }
-        pool.forecastAll(5);
-        scalar.forecastHorizon(5, golden);
-        expectHorizonBitsEqual(pool.forecast(slot), golden, 0, t);
-        EXPECT_EQ(pool.sampleCount(slot), scalar.sampleCount());
-    }
 }
 
 // ------------------------------------------------------------ threads

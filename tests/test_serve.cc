@@ -1,13 +1,12 @@
 /**
  * @file
- * The serving boundary: DecisionEngine transparency (batch ==
- * SimDriver == ReplayDriver, bit for bit), the standalone façade
- * running online schemes with no trace in sight, the oracle being
+ * The serving boundary: DecisionEngine transparency (bare batch ==
+ * engine-wrapped batch == ReplayDriver, bit for bit), the standalone
+ * façade running online schemes with no trace in sight, the oracle being
  * rejected at the boundary, streamed probe export, and engine-wrapped
  * runner grids staying deterministic across thread counts.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "common/units.hh"
 #include "core/icebreaker.hh"
 #include "harness/experiment.hh"
+#include "harness/observe.hh"
 #include "harness/registry.hh"
 #include "harness/runner.hh"
 #include "obs/histogram.hh"
@@ -101,53 +101,6 @@ serveWorkload(std::size_t functions = 24, std::size_t intervals = 120)
     return harness::makeWorkload(config);
 }
 
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aDouble(std::uint64_t hash, double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnv1a(hash, bits);
-}
-
-/** Full-fidelity metrics digest (every float's bit pattern). */
-std::uint64_t
-hashMetrics(const sim::SimulationMetrics &m)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, m.invocations);
-    hash = fnv1a(hash, m.cold_starts);
-    hash = fnv1a(hash, m.warm_starts);
-    hash = fnv1aDouble(hash, m.sum_service_ms);
-    hash = fnv1aDouble(hash, m.sum_wait_ms);
-    hash = fnv1aDouble(hash, m.sum_cold_ms);
-    for (float sample : m.service_times_ms) {
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &sample, sizeof(bits));
-        hash = fnv1a(hash, bits);
-    }
-    for (const sim::FunctionMetrics &fm : m.per_function) {
-        hash = fnv1a(hash, fm.invocations);
-        hash = fnv1a(hash, fm.cold_starts);
-        hash = fnv1aDouble(hash, fm.sum_service_ms);
-        hash = fnv1aDouble(hash, fm.keep_alive_cost);
-    }
-    for (int t = 0; t < kNumTiers; ++t) {
-        hash = fnv1aDouble(hash, m.keep_alive[t].successful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasteful_cost);
-    }
-    return hash;
-}
-
 /**
  * Minimal cluster for the standalone façade tests: grants every
  * warm-up, remembers what was asked.
@@ -207,7 +160,7 @@ class GrantAllWarmup final : public sim::WarmupInterface
 
 // ------------------------------------------------------ equivalence
 
-TEST(ServeEquivalenceTest, EngineAndBothDriversMatchBareBatchExactly)
+TEST(ServeEquivalenceTest, EngineWrappedBatchAndReplayMatchBareExactly)
 {
     const harness::Workload workload = serveWorkload();
     const sim::ClusterConfig cluster =
@@ -219,20 +172,22 @@ TEST(ServeEquivalenceTest, EngineAndBothDriversMatchBareBatchExactly)
 
         const std::unique_ptr<sim::Policy> bare =
             harness::makePolicyByName(scheme);
-        const std::uint64_t bare_hash = hashMetrics(sim::runSimulation(
-            workload.trace, workload.profiles, cluster, *bare));
+        const std::uint64_t bare_hash =
+            harness::digestMetrics(sim::runSimulation(
+                workload.trace, workload.profiles, cluster, *bare));
 
-        const std::unique_ptr<serve::DecisionEngine> sim_engine =
+        const std::unique_ptr<serve::DecisionEngine> batch_engine =
             harness::makeDecisionEngineByName(scheme);
-        serve::SimDriver batch(workload.trace, workload.profiles,
-                               cluster, *sim_engine);
-        EXPECT_EQ(hashMetrics(batch.run()), bare_hash);
+        EXPECT_EQ(harness::digestMetrics(sim::runSimulation(
+                      workload.trace, workload.profiles, cluster,
+                      *batch_engine)),
+                  bare_hash);
 
         const std::unique_ptr<serve::DecisionEngine> replay_engine =
             harness::makeDecisionEngineByName(scheme);
         serve::ReplayDriver replay(workload.trace, workload.profiles,
                                    cluster, *replay_engine);
-        EXPECT_EQ(hashMetrics(replay.run()), bare_hash);
+        EXPECT_EQ(harness::digestMetrics(replay.run()), bare_hash);
     }
 }
 
@@ -247,7 +202,8 @@ TEST(ServeEquivalenceTest, ReplayIsIndependentOfAcceleration)
     serve::ReplayOptions fast_options; // acceleration 0: no pacing
     serve::ReplayDriver fast_replay(workload.trace, workload.profiles,
                                     cluster, *fast, fast_options);
-    const std::uint64_t fast_hash = hashMetrics(fast_replay.run());
+    const std::uint64_t fast_hash =
+        harness::digestMetrics(fast_replay.run());
 
     // Heavily accelerated but PACED: the wall clock participates in
     // scheduling, and the result still must not change.
@@ -257,7 +213,7 @@ TEST(ServeEquivalenceTest, ReplayIsIndependentOfAcceleration)
     paced_options.acceleration = 4.0e6; // ~0.15 wall-ms per interval
     serve::ReplayDriver paced_replay(workload.trace, workload.profiles,
                                      cluster, *paced, paced_options);
-    EXPECT_EQ(hashMetrics(paced_replay.run()), fast_hash);
+    EXPECT_EQ(harness::digestMetrics(paced_replay.run()), fast_hash);
 }
 
 // -------------------------------------------------------- streaming
@@ -509,15 +465,15 @@ TEST(ServeRunnerTest, EngineWrappedGridIsThreadCountInvariant)
     ASSERT_EQ(serial.size(), grid.size());
     ASSERT_EQ(threaded.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        EXPECT_EQ(hashMetrics(serial[i].metrics),
-                  hashMetrics(threaded[i].metrics));
+        EXPECT_EQ(harness::digestMetrics(serial[i].metrics),
+                  harness::digestMetrics(threaded[i].metrics));
     }
     // Bare vs engine-wrapped, replicate by replicate.
     for (std::size_t r = 0; r < 2; ++r) {
-        EXPECT_EQ(hashMetrics(serial[r].metrics),
-                  hashMetrics(serial[2 + r].metrics));
-        EXPECT_EQ(hashMetrics(serial[4 + r].metrics),
-                  hashMetrics(serial[6 + r].metrics));
+        EXPECT_EQ(harness::digestMetrics(serial[r].metrics),
+                  harness::digestMetrics(serial[2 + r].metrics));
+        EXPECT_EQ(harness::digestMetrics(serial[4 + r].metrics),
+                  harness::digestMetrics(serial[6 + r].metrics));
     }
 }
 
@@ -710,7 +666,8 @@ TEST(StatsExporterTest, ReplayPublishesSnapshotsWithoutPerturbing)
 
     // Attaching the exporter enables histograms but must not change
     // the simulation (strictly write-only observation).
-    EXPECT_EQ(hashMetrics(metrics), hashMetrics(reference));
+    EXPECT_EQ(harness::digestMetrics(metrics),
+              harness::digestMetrics(reference));
 
     // The final snapshot carries the whole run.
     const std::string json = exporter.jsonText();
