@@ -13,10 +13,6 @@ namespace iceb::math
 namespace
 {
 
-/** |e^{ia} - 1| below which the Dirichlet quotient would lose its
- * digits to cancellation, so the sum is taken term by term. */
-constexpr double kDirectSumBelow = 1e-2;
-
 /** a * b without std::complex's NaN-recovery branch (C99 Annex G),
  * which keeps the X^T y loop from vectorizing; ~20% of the fit. */
 Complex
@@ -42,21 +38,14 @@ dirichletSum(Complex step, Complex span, double angle, std::size_t n)
         const double ni = span.imag();
         return {(nr * dr + ni * di) / den, (ni * dr - nr * di) / den};
     }
-    double re = 0.0;
-    double im = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-        const double a = angle * static_cast<double>(t);
-        re += std::cos(a);
-        im += std::sin(a);
-    }
-    return {re, im};
+    return directDirichletSum(angle, n);
 }
 
 /**
  * Least-squares coefficients of sum_i a_i cos(w_i t) + b_i sin(w_i t)
- * over t < n at w_i = 2 pi ws.frequencies[i], left in ws.xty as
- * (a_0, b_0, a_1, b_1, ...). Returns false when the normal equations
- * are singular.
+ * over t < n at the frequencies refinedPeaks left in ws (with their
+ * steps and spans), left in ws.xty as (a_0, b_0, a_1, b_1, ...).
+ * Returns false when the normal equations are singular.
  */
 bool
 fitAtFrequencies(const double *series, std::size_t n,
@@ -66,14 +55,6 @@ fitAtFrequencies(const double *series, std::size_t n,
     const std::size_t m = freq.size();
     const std::size_t terms = 2 * m;
     const double len = static_cast<double>(n);
-
-    ws.step.resize(m);
-    ws.span.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        const double w = 2.0 * M_PI * freq[i];
-        ws.step[i] = Complex(std::cos(w), std::sin(w));
-        ws.span[i] = Complex(std::cos(w * len), std::sin(w * len));
-    }
 
     // Normal matrix X^T X. Products of the basis functions are cosines
     // and sines at w_i +- w_j, so each entry is half the sum or
@@ -109,7 +90,7 @@ fitAtFrequencies(const double *series, std::size_t n,
     // flat-topped spectrum refine onto one frequency: their columns
     // coincide, and the solve splits the amplitude between them.
     for (std::size_t a = 0; a < terms; ++a)
-        xtx[a * terms + a] += 1e-9;
+        xtx[a * terms + a] += kFitRidge;
 
     // X^T y: one rotation recurrence e^{i w t} per frequency.
     ws.xty.assign(terms, 0.0);
@@ -252,18 +233,24 @@ decomposeForExtrapolation(const double *series, std::size_t n,
     decomposeFromMagnitudes(series, n, max_components, out, ws);
 }
 
-void
-decomposeFromMagnitudes(const double *series, std::size_t n,
-                        std::size_t max_components,
-                        std::vector<Harmonic> &out,
-                        HarmonicsWorkspace &ws, bool /*fast_trig*/)
+Complex
+directDirichletSum(double angle, std::size_t n)
 {
-    ICEB_ASSERT(n >= 8 && max_components >= 1,
-                "decomposeFromMagnitudes needs n >= 8 and components >= 1");
+    double re = 0.0;
+    double im = 0.0;
+    for (std::size_t t = 0; t < n; ++t) {
+        const double a = angle * static_cast<double>(t);
+        re += std::cos(a);
+        im += std::sin(a);
+    }
+    return {re, im};
+}
+
+std::size_t
+refinedPeaks(std::size_t n, std::size_t max_components,
+             HarmonicsWorkspace &ws)
+{
     const std::size_t half = n / 2;
-    ICEB_ASSERT(ws.magnitude.size() == half + 1,
-                "magnitude buffer must cover bins 0..n/2");
-    out.clear();
 
     // Spectral peak picking over k = 1..n/2.
     const std::vector<double> &magnitude = ws.magnitude;
@@ -277,8 +264,6 @@ decomposeFromMagnitudes(const double *series, std::size_t n,
             peaks.push_back(SpectralPeak{k, magnitude[k]});
         }
     }
-    if (peaks.empty())
-        return;
     std::sort(peaks.begin(), peaks.end(),
               [](const SpectralPeak &a, const SpectralPeak &b) {
                   return a.magnitude > b.magnitude;
@@ -305,18 +290,28 @@ decomposeFromMagnitudes(const double *series, std::size_t n,
             (static_cast<double>(k) + delta) / static_cast<double>(n));
     }
 
-    if (!fitAtFrequencies(series, n, ws)) {
-        out = decompose(std::vector<double>(series, series + n),
-                        max_components);
-        return;
+    const std::size_t m = frequencies.size();
+    const double len = static_cast<double>(n);
+    ws.step.resize(m);
+    ws.span.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+        const double w = 2.0 * M_PI * frequencies[i];
+        ws.step[i] = Complex(std::cos(w), std::sin(w));
+        ws.span[i] = Complex(std::cos(w * len), std::sin(w * len));
     }
+    return m;
+}
 
-    for (std::size_t i = 0; i < frequencies.size(); ++i) {
+void
+harmonicsFromFit(const HarmonicsWorkspace &ws, std::vector<Harmonic> &out)
+{
+    out.clear();
+    for (std::size_t i = 0; i < ws.frequencies.size(); ++i) {
         const double a = ws.xty[2 * i];
         const double b = ws.xty[2 * i + 1];
         Harmonic h;
         h.amplitude = std::sqrt(a * a + b * b);
-        h.frequency = frequencies[i];
+        h.frequency = ws.frequencies[i];
         // a*cos(wt) + b*sin(wt) = A*cos(wt + phase).
         h.phase = std::atan2(-b, a);
         out.push_back(h);
@@ -325,6 +320,27 @@ decomposeFromMagnitudes(const double *series, std::size_t n,
               [](const Harmonic &x, const Harmonic &y) {
                   return x.amplitude > y.amplitude;
               });
+}
+
+void
+decomposeFromMagnitudes(const double *series, std::size_t n,
+                        std::size_t max_components,
+                        std::vector<Harmonic> &out,
+                        HarmonicsWorkspace &ws, bool /*fast_trig*/)
+{
+    ICEB_ASSERT(n >= 8 && max_components >= 1,
+                "decomposeFromMagnitudes needs n >= 8 and components >= 1");
+    ICEB_ASSERT(ws.magnitude.size() == n / 2 + 1,
+                "magnitude buffer must cover bins 0..n/2");
+    out.clear();
+    if (refinedPeaks(n, max_components, ws) == 0)
+        return;
+    if (!fitAtFrequencies(series, n, ws)) {
+        out = decompose(std::vector<double>(series, series + n),
+                        max_components);
+        return;
+    }
+    harmonicsFromFit(ws, out);
 }
 
 double

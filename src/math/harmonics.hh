@@ -118,8 +118,7 @@ void decomposeForExtrapolation(const double *series, std::size_t n,
 /**
  * The peak-picking + least-squares tail of decomposeForExtrapolation,
  * taking bin magnitudes (ws.magnitude[0..n/2], DC ignored) that the
- * caller has already computed - either from a plan FFT or from the
- * batched forecast kernels' lane-wise FFT. Requires n >= 8 and
+ * caller has already computed from a plan FFT. Requires n >= 8 and
  * max_components >= 1.
  *
  * The least-squares fit never forms the n x 2m design matrix. Over a
@@ -130,6 +129,10 @@ void decomposeForExtrapolation(const double *series, std::size_t n,
  * frequency; the 2m x 2m system, with a 1e-9 ridge, is solved by
  * Cholesky. A numerically singular system falls back to decompose().
  *
+ * This is the scalar reference: the batched forecast kernels run the
+ * same stages across 8 lanes (predictors/forecast_kernels.hh) and are
+ * tested bit for bit against it.
+ *
  * @p fast_trig is ignored: there is one fit. The parameter stays for
  * source compatibility with callers that still pass it.
  */
@@ -137,6 +140,39 @@ void decomposeFromMagnitudes(const double *series, std::size_t n,
                              std::size_t max_components,
                              std::vector<Harmonic> &out,
                              HarmonicsWorkspace &ws, bool fast_trig = false);
+
+// Stages of decomposeFromMagnitudes shared with the batched kernels,
+// which run the fit's array stages across lanes and call these for
+// the per-lane rest, so both paths execute one compiled copy of each.
+
+/** |e^{ia} - 1| below which a Dirichlet sum is summed term by term:
+ * the quotient (e^{ina} - 1) / (e^{ia} - 1) loses its digits there. */
+inline constexpr double kDirectSumBelow = 1e-2;
+
+/** Ridge added to the normal matrix's diagonal, which keeps the
+ * system definite when two refined peaks coincide. */
+inline constexpr double kFitRidge = 1e-9;
+
+/** sum_{t<n} e^{i angle t}, summed term by term. */
+Complex directDirichletSum(double angle, std::size_t n);
+
+/**
+ * Peak picking and log-parabola refinement: the top @p max_components
+ * local maxima of ws.magnitude[1..n/2], strongest first, refined off
+ * the bin grid into ws.frequencies, with each frequency's step e^{iw}
+ * and span e^{inw} (w = 2 pi f) in ws.step and ws.span. Returns the
+ * number of peaks m (0 when the spectrum has none).
+ */
+std::size_t refinedPeaks(std::size_t n, std::size_t max_components,
+                         HarmonicsWorkspace &ws);
+
+/**
+ * Amplitudes, phases and the final sort: the harmonics of the solved
+ * least-squares coefficients ws.xty = (a_0, b_0, a_1, b_1, ...) at
+ * ws.frequencies, by descending amplitude, into @p out.
+ */
+void harmonicsFromFit(const HarmonicsWorkspace &ws,
+                      std::vector<Harmonic> &out);
 
 } // namespace iceb::math
 

@@ -170,7 +170,7 @@ solveSpdInPlace(double *a, std::size_t n, double *b)
         double pivot = row_j[j];
         for (std::size_t k = 0; k < j; ++k)
             pivot -= row_j[k] * row_j[k];
-        if (!(pivot > 1e-12))
+        if (!(pivot > kSpdMinPivot))
             return false;
         const double diag = std::sqrt(pivot);
         row_j[j] = diag;

@@ -1,6 +1,7 @@
 #include "predictors/forecast_kernels.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -131,6 +132,252 @@ bluesteinForwardBatch(const math::FftPlan &plan, const double *in_re,
     }
 }
 
+/** Offset of row r of a packed lower triangle. */
+constexpr std::size_t
+packedRow(std::size_t r)
+{
+    return r * (r + 1) / 2;
+}
+
+/**
+ * The quotient branch of math's dirichletSum, (span - 1) / (step - 1)
+ * divided out by hand in the same operand order; also returns
+ * |step - 1|^2, which decides whether the direct sum replaces it.
+ */
+inline void
+dirichletQuotient(double step_re, double step_im, double span_re,
+                  double span_im, double &re, double &im, double &den)
+{
+    const double dr = step_re - 1.0;
+    const double di = step_im;
+    den = dr * dr + di * di;
+    const double nr = span_re - 1.0;
+    const double ni = span_im;
+    re = (nr * dr + ni * di) / den;
+    im = (ni * dr - nr * di) / den;
+}
+
+/** Whether math's dirichletSum takes the direct sum at @p den. */
+inline bool
+needsDirectSum(double den)
+{
+    return !(den >= math::kDirectSumBelow * math::kDirectSumBelow);
+}
+
+/**
+ * X^T X across lanes at the first @p peaks frequencies, as math's
+ * fitAtFrequencies builds it per lane: the same Dirichlet sums, the
+ * same entries written in the same order (for i == j the last write
+ * of the symmetric pair wins, as there), and the ridge. Only the
+ * lower triangle is kept; it is all the Cholesky solve reads. A
+ * (lane, pair) whose step is within 1e-2 of 1 gets its direct sum,
+ * computed by math's own loop, in place of the quotient.
+ */
+void
+batchGram(std::size_t n, std::size_t peaks, const std::size_t *lane_peaks,
+          std::size_t lanes, BlockScratch &s)
+{
+    const double len = static_cast<double>(n);
+    const double *freq = s.freq.data();
+    const double *step_re = s.step_re.data();
+    const double *step_im = s.step_im.data();
+    const double *span_re = s.span_re.data();
+    const double *span_im = s.span_im.data();
+    double *g = s.gram.data();
+    for (std::size_t i = 0; i < peaks; ++i) {
+        const double *sri = step_re + i * L;
+        const double *sii = step_im + i * L;
+        const double *pri = span_re + i * L;
+        const double *pii = span_im + i * L;
+        const std::size_t ci = 2 * i, si = ci + 1;
+        for (std::size_t j = i; j < peaks; ++j) {
+            const double *srj = step_re + j * L;
+            const double *sij = step_im + j * L;
+            const double *prj = span_re + j * L;
+            const double *pij = span_im + j * L;
+            double diff_re[L], diff_im[L], diff_den[L];
+            double sum_re[L], sum_im[L], sum_den[L];
+            if (j == i) {
+                for (std::size_t l = 0; l < L; ++l) {
+                    diff_re[l] = len;
+                    diff_im[l] = 0.0;
+                    diff_den[l] = 1.0;
+                }
+            } else {
+                // mul(step_i, conj(step_j)), mul(span_i, conj(span_j)).
+                for (std::size_t l = 0; l < L; ++l) {
+                    const double sjc = -sij[l];
+                    const double pjc = -pij[l];
+                    dirichletQuotient(
+                        sri[l] * srj[l] - sii[l] * sjc,
+                        sri[l] * sjc + sii[l] * srj[l],
+                        pri[l] * prj[l] - pii[l] * pjc,
+                        pri[l] * pjc + pii[l] * prj[l], diff_re[l],
+                        diff_im[l], diff_den[l]);
+                }
+            }
+            // mul(step_i, step_j), mul(span_i, span_j).
+            for (std::size_t l = 0; l < L; ++l) {
+                dirichletQuotient(sri[l] * srj[l] - sii[l] * sij[l],
+                                  sri[l] * sij[l] + sii[l] * srj[l],
+                                  pri[l] * prj[l] - pii[l] * pij[l],
+                                  pri[l] * pij[l] + pii[l] * prj[l],
+                                  sum_re[l], sum_im[l], sum_den[l]);
+            }
+            for (std::size_t l = 0; l < lanes; ++l) {
+                if (j >= lane_peaks[l])
+                    continue; // padding, overwritten below
+                const double wi = 2.0 * M_PI * freq[i * L + l];
+                const double wj = 2.0 * M_PI * freq[j * L + l];
+                if (needsDirectSum(diff_den[l])) {
+                    const math::Complex d =
+                        math::directDirichletSum(wi - wj, n);
+                    diff_re[l] = d.real();
+                    diff_im[l] = d.imag();
+                }
+                if (needsDirectSum(sum_den[l])) {
+                    const math::Complex d =
+                        math::directDirichletSum(wi + wj, n);
+                    sum_re[l] = d.real();
+                    sum_im[l] = d.imag();
+                }
+            }
+
+            // One loop per destination: stores through two pointers
+            // into one array would keep the loop scalar.
+            const std::size_t cj = 2 * j, sj = cj + 1;
+            double *cc = g + (packedRow(cj) + ci) * L;
+            double *ss = g + (packedRow(sj) + si) * L;
+            if (j == i) {
+                double *sc = g + (packedRow(si) + ci) * L;
+                for (std::size_t l = 0; l < L; ++l)
+                    cc[l] = 0.5 * (diff_re[l] + sum_re[l]) + math::kFitRidge;
+                for (std::size_t l = 0; l < L; ++l)
+                    ss[l] = 0.5 * (diff_re[l] - sum_re[l]) + math::kFitRidge;
+                for (std::size_t l = 0; l < L; ++l)
+                    sc[l] = 0.5 * (sum_im[l] + diff_im[l]);
+                continue;
+            }
+            double *sc = g + (packedRow(sj) + ci) * L;
+            double *cs = g + (packedRow(cj) + si) * L;
+            for (std::size_t l = 0; l < L; ++l)
+                cc[l] = 0.5 * (diff_re[l] + sum_re[l]);
+            for (std::size_t l = 0; l < L; ++l)
+                ss[l] = 0.5 * (diff_re[l] - sum_re[l]);
+            for (std::size_t l = 0; l < L; ++l)
+                sc[l] = 0.5 * (sum_im[l] - diff_im[l]);
+            for (std::size_t l = 0; l < L; ++l)
+                cs[l] = 0.5 * (sum_im[l] + diff_im[l]);
+        }
+    }
+}
+
+/**
+ * X^T y across lanes: per frequency, one rotation recurrence e^{iwt}
+ * over the window, each lane summing in ascending t as math's
+ * fitAtFrequencies does. Rotors and sums live in local lane arrays so
+ * the lane loops vectorize.
+ */
+void
+batchXty(std::size_t n, std::size_t peaks, const double *resid,
+         BlockScratch &s)
+{
+    for (std::size_t i = 0; i < peaks; ++i) {
+        double rot_re[L], rot_im[L], st_re[L], st_im[L];
+        double acc_re[L], acc_im[L];
+        for (std::size_t l = 0; l < L; ++l) {
+            rot_re[l] = 1.0;
+            rot_im[l] = 0.0;
+            st_re[l] = s.step_re[i * L + l];
+            st_im[l] = s.step_im[i * L + l];
+            acc_re[l] = 0.0;
+            acc_im[l] = 0.0;
+        }
+        for (std::size_t t = 0; t < n; ++t) {
+            const double *y = resid + t * L;
+            for (std::size_t l = 0; l < L; ++l) {
+                acc_re[l] += y[l] * rot_re[l];
+                acc_im[l] += y[l] * rot_im[l];
+                const double re = rot_re[l] * st_re[l] - rot_im[l] * st_im[l];
+                const double im = rot_re[l] * st_im[l] + rot_im[l] * st_re[l];
+                rot_re[l] = re;
+                rot_im[l] = im;
+            }
+        }
+        for (std::size_t l = 0; l < L; ++l) {
+            s.xty[2 * i * L + l] = acc_re[l];
+            s.xty[(2 * i + 1) * L + l] = acc_im[l];
+        }
+    }
+}
+
+/**
+ * math::solveSpdInPlace across lanes on the packed lower triangle:
+ * the same Cholesky-Banachiewicz order and both substitutions, with
+ * the solution left in s.xty. ok[l] is cleared for a lane with a
+ * pivot not above kSpdMinPivot; its values are then meaningless.
+ */
+void
+batchCholesky(std::size_t terms, BlockScratch &s, bool *ok)
+{
+    double *g = s.gram.data();
+    double *b = s.xty.data();
+    for (std::size_t j = 0; j < terms; ++j) {
+        double *row_j = g + packedRow(j) * L;
+        double pivot[L];
+        for (std::size_t l = 0; l < L; ++l)
+            pivot[l] = row_j[j * L + l];
+        for (std::size_t k = 0; k < j; ++k)
+            for (std::size_t l = 0; l < L; ++l)
+                pivot[l] -= row_j[k * L + l] * row_j[k * L + l];
+        double diag[L];
+        for (std::size_t l = 0; l < L; ++l) {
+            ok[l] = ok[l] && pivot[l] > math::kSpdMinPivot;
+            diag[l] = std::sqrt(pivot[l]);
+            row_j[j * L + l] = diag[l];
+        }
+        for (std::size_t i = j + 1; i < terms; ++i) {
+            double *row_i = g + packedRow(i) * L;
+            double acc[L];
+            for (std::size_t l = 0; l < L; ++l)
+                acc[l] = row_i[j * L + l];
+            for (std::size_t k = 0; k < j; ++k)
+                for (std::size_t l = 0; l < L; ++l)
+                    acc[l] -= row_i[k * L + l] * row_j[k * L + l];
+            for (std::size_t l = 0; l < L; ++l)
+                row_i[j * L + l] = acc[l] / diag[l];
+        }
+    }
+
+    // Forward substitution L z = b, then back substitution L^T x = z.
+    for (std::size_t i = 0; i < terms; ++i) {
+        const double *row_i = g + packedRow(i) * L;
+        double acc[L];
+        for (std::size_t l = 0; l < L; ++l)
+            acc[l] = b[i * L + l];
+        for (std::size_t k = 0; k < i; ++k)
+            for (std::size_t l = 0; l < L; ++l)
+                acc[l] -= row_i[k * L + l] * b[k * L + l];
+        for (std::size_t l = 0; l < L; ++l)
+            acc[l] /= row_i[i * L + l];
+        std::copy(acc, acc + L, b + i * L);
+    }
+    for (std::size_t i = terms; i-- > 0;) {
+        double acc[L];
+        for (std::size_t l = 0; l < L; ++l)
+            acc[l] = b[i * L + l];
+        for (std::size_t k = i + 1; k < terms; ++k) {
+            const double *lki = g + (packedRow(k) + i) * L;
+            for (std::size_t l = 0; l < L; ++l)
+                acc[l] -= lki[l] * b[k * L + l];
+        }
+        const double *lii = g + (packedRow(i) + i) * L;
+        for (std::size_t l = 0; l < L; ++l)
+            acc[l] /= lii[l];
+        std::copy(acc, acc + L, b + i * L);
+    }
+}
+
 } // namespace
 
 void
@@ -144,10 +391,18 @@ BlockScratch::prepare(const BlockContext &ctx)
     aty.resize(terms * L);
     spec_re.resize((n / 2 + 1) * L);
     spec_im.resize((n / 2 + 1) * L);
+    magnitude.resize((n / 2 + 1) * L);
     packed_re.resize(n * L);
     packed_im.resize(n * L);
+    const std::size_t peaks = ctx.harmonics;
+    freq.resize(peaks * L);
+    step_re.resize(peaks * L);
+    step_im.resize(peaks * L);
+    span_re.resize(peaks * L);
+    span_im.resize(peaks * L);
+    gram.resize(packedRow(2 * peaks) * L);
+    xty.resize(2 * peaks * L);
     lane_rhs.resize(terms);
-    lane_series.resize(n);
 
     const math::FftPlan *half = ctx.plan->halfPlan();
     std::size_t pow2_work = 0;
@@ -237,12 +492,13 @@ forwardRealBatch(const math::FftPlan &plan, const double *in,
 }
 
 void
-forecastBlock(const BlockContext &ctx, const bool *active,
+forecastBlock(const BlockContext &ctx, std::size_t lanes,
               std::size_t horizon, BlockScratch &scratch, double *out)
 {
     const std::size_t n = ctx.window;
     const std::size_t terms = ctx.degree + 1;
     ICEB_ASSERT(n >= 8, "forecastBlock needs window >= 8");
+    ICEB_ASSERT(lanes <= L, "forecastBlock fits at most kLanes lanes");
     ICEB_ASSERT(ctx.plan != nullptr && ctx.powers != nullptr &&
                     ctx.trend_system != nullptr,
                 "forecastBlock needs prepared length caches");
@@ -312,24 +568,22 @@ forecastBlock(const BlockContext &ctx, const bool *active,
     forwardRealBatch(*ctx.plan, resid, scratch.spec_re.data(),
                      scratch.spec_im.data(), scratch);
 
-    // Harmonic fit + horizon evaluation per active lane.
+    // Bin magnitudes, DC left at 0 as the scalar path leaves it.
     const std::size_t half = n / 2;
-    const double *spec_re = scratch.spec_re.data();
-    const double *spec_im = scratch.spec_im.data();
-    for (std::size_t l = 0; l < L; ++l) {
-        if (!active[l])
-            continue;
-        scratch.hws.magnitude.assign(half + 1, 0.0);
-        for (std::size_t k = 1; k <= half; ++k) {
-            scratch.hws.magnitude[k] = std::abs(
-                math::Complex(spec_re[k * L + l], spec_im[k * L + l]));
+    double *magnitude = scratch.magnitude.data();
+    for (std::size_t l = 0; l < lanes; ++l)
+        magnitude[l] = 0.0;
+    for (std::size_t k = 1; k <= half; ++k) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            magnitude[k * L + l] =
+                std::abs(math::Complex(scratch.spec_re[k * L + l],
+                                       scratch.spec_im[k * L + l]));
         }
-        double *series = scratch.lane_series.data();
-        for (std::size_t i = 0; i < n; ++i)
-            series[i] = resid[i * L + l];
-        math::decomposeFromMagnitudes(series, n, ctx.harmonics,
-                                      scratch.harm, scratch.hws);
+    }
+    fitHarmonicsBatch(ctx, lanes, resid, magnitude, scratch);
 
+    // Horizon evaluation per lane.
+    for (std::size_t l = 0; l < lanes; ++l) {
         double *rhs = scratch.lane_rhs.data();
         for (std::size_t k = 0; k < terms; ++k)
             rhs[k] = coeffs[k * L + l];
@@ -337,9 +591,105 @@ forecastBlock(const BlockContext &ctx, const bool *active,
         for (std::size_t step = 0; step < horizon; ++step) {
             const double t = static_cast<double>(n + step);
             const double forecast = scratch.trend_poly.evaluate(t) +
-                math::evaluateHarmonics(scratch.harm, t);
+                math::evaluateHarmonics(scratch.harm[l], t);
             out[step * L + l] = std::max(0.0, forecast);
         }
+    }
+}
+
+void
+fitHarmonicsBatch(const BlockContext &ctx, std::size_t lanes,
+                  const double *resid, const double *magnitude,
+                  BlockScratch &scratch)
+{
+    const std::size_t n = ctx.window;
+    const std::size_t half = n / 2;
+    ICEB_ASSERT(n >= 8 && ctx.harmonics >= 1,
+                "fitHarmonicsBatch needs window >= 8 and harmonics >= 1");
+    ICEB_ASSERT(lanes <= L, "fitHarmonicsBatch fits at most kLanes lanes");
+    ICEB_ASSERT(scratch.freq.size() >= ctx.harmonics * L,
+                "fitHarmonicsBatch needs scratch prepared for ctx");
+
+    // Per lane, through math's shared stage: peak picking, log
+    // refinement and each frequency's cos/sin, scattered into the
+    // SoA arrays.
+    math::HarmonicsWorkspace &hws = scratch.hws;
+    std::size_t lane_peaks[L] = {};
+    std::size_t peaks = 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        hws.magnitude.resize(half + 1);
+        for (std::size_t k = 0; k <= half; ++k)
+            hws.magnitude[k] = magnitude[k * L + l];
+        const std::size_t m = math::refinedPeaks(n, ctx.harmonics, hws);
+        for (std::size_t i = 0; i < m; ++i) {
+            scratch.freq[i * L + l] = hws.frequencies[i];
+            scratch.step_re[i * L + l] = hws.step[i].real();
+            scratch.step_im[i * L + l] = hws.step[i].imag();
+            scratch.span_re[i * L + l] = hws.span[i].real();
+            scratch.span_im[i * L + l] = hws.span[i].imag();
+        }
+        lane_peaks[l] = m;
+        peaks = std::max(peaks, m);
+    }
+    for (std::vector<math::Harmonic> &harm : scratch.harm)
+        harm.clear();
+    if (peaks == 0)
+        return;
+
+    // A lane with fewer peaks than the block's largest count (and a
+    // lane past `lanes`) is padded to it: its padded peaks get a
+    // stand-in step, and whatever their rows and columns compute is
+    // then overwritten with identity and a zero right-hand side. The
+    // Cholesky factor's leading block stays exactly the lane's own,
+    // every padded term the lane's solution meets is an exact +0, and
+    // x - (+0) == x, so its solution is unchanged bit for bit.
+    for (std::size_t i = 0; i < peaks; ++i) {
+        for (std::size_t l = 0; l < L; ++l) {
+            if (i < lane_peaks[l])
+                continue;
+            scratch.step_re[i * L + l] = 0.0;
+            scratch.step_im[i * L + l] = 1.0;
+            scratch.span_re[i * L + l] = 0.0;
+            scratch.span_im[i * L + l] = 1.0;
+        }
+    }
+    batchGram(n, peaks, lane_peaks, lanes, scratch);
+    batchXty(n, peaks, resid, scratch);
+    const std::size_t terms = 2 * peaks;
+    for (std::size_t l = 0; l < L; ++l) {
+        for (std::size_t r = 2 * lane_peaks[l]; r < terms; ++r) {
+            double *row = scratch.gram.data() + packedRow(r) * L;
+            for (std::size_t c = 0; c <= r; ++c)
+                row[c * L + l] = c == r ? 1.0 : 0.0;
+            scratch.xty[r * L + l] = 0.0;
+        }
+    }
+    bool ok[L];
+    for (std::size_t l = 0; l < L; ++l)
+        ok[l] = true;
+    batchCholesky(terms, scratch, ok);
+
+    // Per lane: amplitudes, phases and sort through math's shared
+    // stage, or decompose() where the lane's own system is singular.
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const std::size_t m = lane_peaks[l];
+        if (m == 0)
+            continue;
+        if (!ok[l]) {
+            std::vector<double> series(n);
+            for (std::size_t i = 0; i < n; ++i)
+                series[i] = resid[i * L + l];
+            scratch.harm[l] = math::decompose(series, ctx.harmonics);
+            continue;
+        }
+        hws.frequencies.resize(m);
+        hws.xty.resize(2 * m);
+        for (std::size_t i = 0; i < m; ++i) {
+            hws.frequencies[i] = scratch.freq[i * L + l];
+            hws.xty[2 * i] = scratch.xty[2 * i * L + l];
+            hws.xty[2 * i + 1] = scratch.xty[(2 * i + 1) * L + l];
+        }
+        math::harmonicsFromFit(hws, scratch.harm[l]);
     }
 }
 

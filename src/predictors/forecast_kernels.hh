@@ -2,15 +2,14 @@
  * @file
  * Batched (structure-of-arrays) forecast kernels for the FIP.
  *
- * One block forecasts kLanes functions at a time: every pipeline
- * stage (trend fit, detrend, real FFT, harmonic fit, horizon
- * evaluation) walks lane-major SoA arrays so the per-sample inner
- * loops run over the kLanes axis and vectorize. The translation unit
- * is compiled with wider codegen (-march=x86-64-v3 when available,
- * see src/predictors/CMakeLists.txt) but always with
- * -ffp-contract=off and without value-unsafe optimisations, so every
- * lane executes the exact IEEE operation sequence of the scalar
- * FftPredictor path:
+ * One block forecasts up to kLanes functions at a time: the trend
+ * fit, detrend, real FFT and the harmonic fit's normal matrix, X^T y
+ * and Cholesky solve walk lane-major SoA arrays so the inner loops
+ * run over the kLanes axis and vectorize. The translation unit is
+ * compiled with wider codegen (-march=x86-64-v3 when available, see
+ * src/predictors/CMakeLists.txt) but always with -ffp-contract=off
+ * and without value-unsafe optimisations, so every lane executes the
+ * exact IEEE operation sequence of the scalar FftPredictor path:
  *
  *  - the trend fit reuses the shared SeriesPowerTable chain powers
  *    and replays one FactoredSystem per fit length (bit-identical
@@ -19,8 +18,12 @@
  *    FftPlan::forwardReal from the plan's own tables, with complex
  *    arithmetic written out in the operand order std::complex lowers
  *    to;
- *  - the harmonic fit calls math::decomposeFromMagnitudes, the same
- *    compiled function the scalar predictor calls.
+ *  - the harmonic fit replays math::decomposeFromMagnitudes per lane:
+ *    peak picking, the trig of each frequency, the direct Dirichlet
+ *    sums and the final sort call math's own compiled stages, and the
+ *    array stages repeat its operation order. A lane with fewer peaks
+ *    than the block's largest count is padded with identity rows and
+ *    columns, which leaves its solution bit for bit unchanged.
  *
  * The result is therefore bit-identical to
  * FftPredictor::forecastHorizon (enforced by test) at every window
@@ -31,6 +34,7 @@
 #ifndef ICEB_PREDICTORS_FORECAST_KERNELS_HH
 #define ICEB_PREDICTORS_FORECAST_KERNELS_HH
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -63,41 +67,63 @@ struct BlockContext
 
 /**
  * Per-thread scratch for one block. SoA arrays are indexed
- * [sample * kLanes + lane]; prepare() sizes everything for a context
+ * [entry * kLanes + lane]; prepare() sizes everything for a context
  * and allocates nothing once capacities cover the longest window.
  */
 struct BlockScratch
 {
-    std::vector<double> window;  //!< gathered input, filled by caller
-    std::vector<double> resid;   //!< detrended residual
-    std::vector<double> coeffs;  //!< trend coefficients, [k*kLanes+l]
-    std::vector<double> aty;     //!< normal-equation rhs, [k*kLanes+l]
-    std::vector<double> spec_re; //!< spectrum bins 0..n/2
+    std::vector<double> window;    //!< gathered input, filled by caller
+    std::vector<double> resid;     //!< detrended residual
+    std::vector<double> coeffs;    //!< trend coefficients, [k*kLanes+l]
+    std::vector<double> aty;       //!< normal-equation rhs, [k*kLanes+l]
+    std::vector<double> spec_re;   //!< spectrum bins 0..n/2
     std::vector<double> spec_im;
-    std::vector<double> fft_re;  //!< Bluestein pow2 work buffer
+    std::vector<double> magnitude; //!< |spectrum| bins 0..n/2
+    std::vector<double> fft_re;    //!< Bluestein pow2 work buffer
     std::vector<double> fft_im;
     std::vector<double> packed_re; //!< packed half-length signal
     std::vector<double> packed_im;
-    std::vector<double> lane_rhs;    //!< contiguous per-lane solve buffer
-    std::vector<double> lane_series; //!< contiguous per-lane residual
+    /** Harmonic fit, per peak i: refined frequency, e^{iw}, e^{inw}. */
+    std::vector<double> freq;
+    std::vector<double> step_re, step_im;
+    std::vector<double> span_re, span_im;
+    /** Normal matrix as a packed lower triangle, row r at r(r+1)/2. */
+    std::vector<double> gram;
+    std::vector<double> xty;       //!< X^T y, solved in place
+    std::vector<double> lane_rhs;  //!< contiguous per-lane solve buffer
     math::HarmonicsWorkspace hws;
     math::Polynomial trend_poly;
-    std::vector<math::Harmonic> harm;
+    /** Each lane's harmonics from the last fitHarmonicsBatch. */
+    std::array<std::vector<math::Harmonic>, kLanes> harm;
 
     /** Size all buffers for @p ctx (no-op once capacity exists). */
     void prepare(const BlockContext &ctx);
 };
 
 /**
- * Forecast the active lanes of one gathered block. The caller fills
- * scratch.window for every active lane (inactive lane columns must be
- * zero-filled) and receives out[step * kLanes + lane] for each of the
- * @p horizon steps of each active lane; inactive lanes are left
- * untouched. Requires window >= 8.
+ * Forecast lanes 0..lanes-1 of one gathered block. The caller fills
+ * scratch.window for those lanes and zero-fills the other columns,
+ * and receives out[step * kLanes + lane] for each of the @p horizon
+ * steps of each of them. Requires window >= 8.
  */
-void forecastBlock(const BlockContext &ctx, const bool *active,
+void forecastBlock(const BlockContext &ctx, std::size_t lanes,
                    std::size_t horizon, BlockScratch &scratch,
                    double *out);
+
+/**
+ * The harmonic fit of lanes 0..lanes-1, bit-identical per lane to
+ * math::decomposeFromMagnitudes(ctx.window, ctx.harmonics). Lane l
+ * fits the residual resid[i * kLanes + l] (i < window) at the peaks
+ * of its bin magnitudes magnitude[k * kLanes + l] (k = 0..window/2,
+ * DC ignored) and leaves its harmonics in scratch.harm[l]. Peak
+ * picking, the trig of each frequency and the final sort run per lane
+ * through math's shared stages; the normal matrix, X^T y and the
+ * Cholesky solve run across lanes. Requires window >= 8 and scratch
+ * prepared for @p ctx.
+ */
+void fitHarmonicsBatch(const BlockContext &ctx, std::size_t lanes,
+                       const double *resid, const double *magnitude,
+                       BlockScratch &scratch);
 
 /**
  * SoA forward real DFT of kLanes series at once: reads

@@ -13,6 +13,14 @@ namespace
 {
 
 constexpr std::size_t L = kernels::kLanes;
+constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+
+/** Ring position of a lane's i-th oldest sample. */
+std::size_t
+oldest(std::uint32_t head, std::size_t i, std::size_t window)
+{
+    return head + i < window ? head + i : head + i - window;
+}
 
 } // namespace
 
@@ -41,6 +49,7 @@ ForecastPool::addFunction(const FftPredictorConfig &config)
     ring_.resize((fn + 1) * config.window, 0.0);
     head_.push_back(0);
     count_.push_back(0);
+    nonzero_.push_back(0);
     return fn;
 }
 
@@ -53,11 +62,15 @@ ForecastPool::observe(std::size_t fn, double concurrency)
     double *ring = ring_.data() + fn * w;
     const double value = std::max(0.0, concurrency);
     std::uint32_t &count = count_[fn];
+    std::uint32_t &nonzero = nonzero_[fn];
     if (count < w) {
         ring[count++] = value;
+        nonzero += value != 0.0;
         return;
     }
     std::uint32_t &head = head_[fn];
+    nonzero -= ring[head] != 0.0;
+    nonzero += value != 0.0;
     ring[head] = value;
     head = head + 1 == w ? 0 : head + 1;
 }
@@ -88,17 +101,46 @@ ForecastPool::forecastAll(std::size_t horizon)
     horizon_ = horizon;
     const std::size_t lanes = count_.size();
     forecasts_.assign(lanes * horizon, 0.0);
-    if (lanes == 0)
+
+    // Mirror FftPredictor::forecastHorizon's prologue per lane (the
+    // forecasts_ row is already zeroed, like its out.assign): empty
+    // and silent windows forecast zeros, windows below min_samples
+    // their mean, and the rest join the open block of their sample
+    // count. The per-length tables are built here, serially, so
+    // workers only ever read them.
+    const std::size_t w = cfg_.window;
+    blocks_.clear();
+    open_block_.assign(w + 1, kNoBlock);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+        if (nonzero_[lane] == 0)
+            continue;
+        const std::uint32_t count = count_[lane];
+        if (count < cfg_.min_samples) {
+            // math::mean's order: oldest sample first.
+            const double *ring = ring_.data() + lane * w;
+            double sum = 0.0;
+            for (std::size_t i = 0; i < count; ++i)
+                sum += ring[oldest(head_[lane], i, w)];
+            double *out = forecasts_.data() + lane * horizon_;
+            std::fill(out, out + horizon_,
+                      std::max(0.0, sum / static_cast<double>(count)));
+            continue;
+        }
+        ensureLengthCache(count);
+        std::uint32_t &open = open_block_[count];
+        if (open == kNoBlock) {
+            open = static_cast<std::uint32_t>(blocks_.size());
+            blocks_.push_back(Block{count, 0, {}});
+        }
+        Block &block = blocks_[open];
+        block.lane[block.size++] = static_cast<std::uint32_t>(lane);
+        if (block.size == L)
+            open = kNoBlock;
+    }
+    if (blocks_.empty())
         return;
 
-    // The per-length tables of every count a lane will be fitted at
-    // are built serially here, so workers only ever read them.
-    for (const std::uint32_t count : count_)
-        if (count >= cfg_.min_samples)
-            ensureLengthCache(count);
-
-    const std::size_t blocks = (lanes + L - 1) / L;
-    const std::size_t threads = std::min(options_.threads, blocks);
+    const std::size_t threads = std::min(options_.threads, blocks_.size());
     workers_.resize(std::max(workers_.size(), threads));
 
     // The shared executor runs block b as participant b mod T, on one
@@ -107,9 +149,10 @@ ForecastPool::forecastAll(std::size_t horizon)
     // from inside an executor task, which shares participants with
     // parked workers. Every lane's output region is disjoint, so the
     // partition affects scheduling only, never values.
-    TaskExecutor::shared().run(blocks, threads,
+    TaskExecutor::shared().run(blocks_.size(), threads,
                                [this, threads](std::size_t b) {
-                                   runBlock(b, workers_[b % threads]);
+                                   runBlock(blocks_[b],
+                                            workers_[b % threads]);
                                });
 }
 
@@ -123,92 +166,39 @@ ForecastPool::forecast(std::size_t fn) const
 }
 
 void
-ForecastPool::runBlock(std::size_t block, WorkerScratch &scratch)
+ForecastPool::runBlock(const Block &block, WorkerScratch &scratch)
 {
     const std::size_t w = cfg_.window;
-    const std::size_t first_lane = block * L;
-    const std::size_t lane_end =
-        std::min(first_lane + L, count_.size());
-    // Ring position of a lane's i-th oldest sample.
-    const auto oldest = [w](std::uint32_t head, std::size_t i) {
-        return head + i < w ? head + i : head + i - w;
-    };
+    const std::size_t n = block.n;
+    const LengthCache &cache = lengths_[n];
+    const kernels::BlockContext ctx{
+        cache.plan.get(), n,       cfg_.poly_degree, cfg_.harmonics,
+        &cache.powers,    &cache.trend_system};
+    scratch.block.prepare(ctx);
 
-    // Mirror FftPredictor::forecastHorizon's prologue per lane (the
-    // forecasts_ row is already zeroed, like its out.assign): empty
-    // and silent windows forecast zeros, windows below min_samples
-    // their mean, and the rest wait for a kernel pass at n = count.
-    std::uint32_t fit_count[L] = {};
-    for (std::size_t lane = first_lane; lane < lane_end; ++lane) {
-        const std::uint32_t count = count_[lane];
-        const double *ring = ring_.data() + lane * w;
-        bool all_zero = true;
-        for (std::size_t i = 0; i < count; ++i) {
-            if (ring[i] != 0.0) {
-                all_zero = false;
-                break;
-            }
-        }
-        if (all_zero)
-            continue;
-        if (count >= cfg_.min_samples) {
-            fit_count[lane - first_lane] = count;
-            continue;
-        }
-        // math::mean's order: oldest sample first.
-        double sum = 0.0;
-        for (std::size_t i = 0; i < count; ++i)
-            sum += ring[oldest(head_[lane], i)];
-        double *out = forecasts_.data() + lane * horizon_;
-        std::fill(out, out + horizon_,
-                  std::max(0.0, sum / static_cast<double>(count)));
-    }
-
-    // One kernel pass per distinct sample count; an IceBreaker pool
-    // observes every lane every interval, so it runs exactly one.
-    scratch.horizon_tmp.resize(horizon_ * L);
-    for (std::size_t first = 0; first < L; ++first) {
-        const std::size_t n = fit_count[first];
-        if (n == 0)
-            continue;
-        const LengthCache &cache = lengths_[n];
-        const kernels::BlockContext ctx{
-            cache.plan.get(), n,       cfg_.poly_degree, cfg_.harmonics,
-            &cache.powers,    &cache.trend_system};
-        scratch.block.prepare(ctx);
-
-        // Gather each n-sample lane's window, oldest first, into its
-        // column; every other column is zeroed so stale scratch never
-        // feeds the lanes' shared (but lane-wise independent)
-        // arithmetic.
-        bool active[L] = {};
-        double *dst = scratch.block.window.data();
-        for (std::size_t l = first; l < L; ++l) {
-            if (fit_count[l] != n)
-                continue;
-            active[l] = true;
-            fit_count[l] = 0;
-            const std::size_t lane = first_lane + l;
-            const double *ring = ring_.data() + lane * w;
-            for (std::size_t i = 0; i < n; ++i)
-                dst[i * L + l] = ring[oldest(head_[lane], i)];
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-            if (active[l])
-                continue;
+    // Gather each lane's window, oldest first, into columns
+    // 0..size-1; the rest are zeroed so stale scratch never feeds the
+    // lanes' shared (but lane-wise independent) arithmetic.
+    double *dst = scratch.block.window.data();
+    for (std::size_t l = 0; l < L; ++l) {
+        if (l >= block.size) {
             for (std::size_t i = 0; i < n; ++i)
                 dst[i * L + l] = 0.0;
+            continue;
         }
+        const std::size_t lane = block.lane[l];
+        const double *ring = ring_.data() + lane * w;
+        for (std::size_t i = 0; i < n; ++i)
+            dst[i * L + l] = ring[oldest(head_[lane], i, w)];
+    }
 
-        kernels::forecastBlock(ctx, active, horizon_, scratch.block,
-                               scratch.horizon_tmp.data());
-        for (std::size_t l = first; l < L; ++l) {
-            if (!active[l])
-                continue;
-            double *out = forecasts_.data() + (first_lane + l) * horizon_;
-            for (std::size_t step = 0; step < horizon_; ++step)
-                out[step] = scratch.horizon_tmp[step * L + l];
-        }
+    scratch.horizon_tmp.resize(horizon_ * L);
+    kernels::forecastBlock(ctx, block.size, horizon_, scratch.block,
+                           scratch.horizon_tmp.data());
+    for (std::size_t l = 0; l < block.size; ++l) {
+        double *out = forecasts_.data() + block.lane[l] * horizon_;
+        for (std::size_t step = 0; step < horizon_; ++step)
+            out[step] = scratch.horizon_tmp[step * L + l];
     }
 }
 

@@ -4,19 +4,23 @@
  *
  * A ForecastPool holds one FftPredictorConfig and the invocation
  * history of every registered function as contiguous per-lane ring
- * buffers; lane i is function i. forecastAll() forecasts kLanes
- * functions per block (block b is lanes 8b to 8b+7) through the SoA
- * kernels in forecast_kernels.cc, optionally thread-parallel on the
- * shared TaskExecutor: blocks go to participants by a fixed
- * interleaving and every lane's arithmetic is lane-local, so results
- * are byte-identical for any --threads value.
+ * buffers; lane i is function i. forecastAll() forecasts up to kLanes
+ * functions per block through the SoA kernels in forecast_kernels.cc,
+ * optionally thread-parallel on the shared TaskExecutor: block
+ * membership depends only on the lanes' histories, blocks go to
+ * participants by a fixed interleaving, and every lane's arithmetic
+ * is lane-local, so results are byte-identical for any --threads
+ * value.
  *
  * Every lane holding at least min_samples samples is fitted by
  * kernels::forecastBlock at n = its sample count, warm-up included:
  * the pool caches one FftPlan, SeriesPowerTable and factored trend
- * system per length it has seen, built serially before dispatch. A
- * block whose lanes hold different counts runs one kernel pass per
- * distinct count. Silent lanes forecast zeros, and lanes below
+ * system per length it has seen, built serially before dispatch.
+ * Blocks are dense: forecastAll walks the lanes in order and packs
+ * each lane it fits into the open block of its sample count, which
+ * closes at kLanes lanes, so only a count's last block can be
+ * partial. Silent lanes (observe keeps a per-lane count of non-zero
+ * samples) forecast zeros without entering a block, and lanes below
  * min_samples forecast their window mean.
  *
  * Equivalence contract (enforced by tests): every forecast reproduces
@@ -25,8 +29,8 @@
  *
  * Steady-state forecasting performs no heap allocations; the pool
  * allocates only when functions are added, a lane reaches a sample
- * count it has not fitted before, or a longer horizon is first
- * requested.
+ * count it has not fitted before, an interval packs more blocks than
+ * any before it, or a longer horizon is first requested.
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_POOL_HH
@@ -101,9 +105,17 @@ class ForecastPool
         std::vector<double> horizon_tmp;
     };
 
+    /** Up to kLanes lanes that one kernel pass fits at length n. */
+    struct Block
+    {
+        std::uint32_t n = 0;
+        std::uint32_t size = 0;
+        std::uint32_t lane[kernels::kLanes] = {};
+    };
+
     /** Build the kernel tables for fits of length @p n. */
     void ensureLengthCache(std::size_t n);
-    void runBlock(std::size_t block, WorkerScratch &scratch);
+    void runBlock(const Block &block, WorkerScratch &scratch);
 
     ForecastPoolOptions options_;
     FftPredictorConfig cfg_;
@@ -111,8 +123,15 @@ class ForecastPool
     std::vector<double> ring_;
     std::vector<std::uint32_t> head_;
     std::vector<std::uint32_t> count_;
+    /** Non-zero samples in each lane's window (0 = silent). */
+    std::vector<std::uint32_t> nonzero_;
     /** Shared kernel tables indexed by sample count (0..window). */
     std::vector<LengthCache> lengths_;
+
+    /** The last forecastAll's blocks, in the order lanes filled them. */
+    std::vector<Block> blocks_;
+    /** Per sample count, the index of its open block (or kNoBlock). */
+    std::vector<std::uint32_t> open_block_;
 
     std::size_t horizon_ = 0;
     /** Lane-major results: forecasts_[lane * horizon_ + step]. */

@@ -6,12 +6,15 @@
  * The central contract is bitwise: every forecast value the pool
  * produces must match FftPredictor::forecastHorizon bit for bit,
  * across power-of-two, Bluestein and odd window lengths, during
- * warm-up (kernels at n = sample count) and steady state, for any
- * thread count.
+ * warm-up (kernels at n = sample count) and steady state, on
+ * generated trace histories whose windows fall silent and wake, for
+ * any thread count. The kernels' lane-batched harmonic fit is pinned
+ * to math::decomposeFromMagnitudes lane by lane.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,9 +22,11 @@
 
 #include "common/executor.hh"
 #include "math/fft.hh"
+#include "math/harmonics.hh"
 #include "predictors/fft_predictor.hh"
 #include "predictors/forecast_kernels.hh"
 #include "predictors/forecast_pool.hh"
+#include "trace/synthetic.hh"
 
 namespace
 {
@@ -304,6 +309,103 @@ TEST(ForecastPoolTest, StaggeredArrivalsMatchScalarAtAnyWidth)
     }
 }
 
+/** What a generated-trace roll exercised, beyond bit-identity. */
+struct RollCoverage
+{
+    std::size_t resilenced = 0;     //!< lane-intervals that fell silent
+    std::size_t partial_blocks = 0; //!< intervals with a partial block
+};
+
+/**
+ * Roll every history of @p trace through pools of forecast width 1
+ * and 4 and through one FftPredictor per function, asserting
+ * bit-identical horizons from both pools at every interval.
+ */
+RollCoverage
+rollTraceAndCompare(const trace::Trace &trace)
+{
+    const FftPredictorConfig config; // IceBreaker's FIP
+    const std::size_t horizon = 11;
+    const std::size_t functions = trace.numFunctions();
+    std::vector<ForecastPool> pools;
+    for (const std::size_t threads : {1u, 4u}) {
+        ForecastPoolOptions opts;
+        opts.threads = threads;
+        pools.emplace_back(opts);
+    }
+    std::vector<FftPredictor> scalar;
+    scalar.reserve(functions);
+    for (std::size_t fn = 0; fn < functions; ++fn) {
+        for (ForecastPool &pool : pools)
+            pool.addFunction(config);
+        scalar.emplace_back(config);
+    }
+
+    // Interval of each function's last non-zero sample, to tell which
+    // windows are silent (none within the last `window` intervals).
+    constexpr std::size_t kNever = ~std::size_t{0};
+    std::vector<std::size_t> last_active(functions, kNever);
+    std::vector<bool> was_silent(functions, true);
+    RollCoverage coverage;
+    std::vector<double> golden;
+    for (std::size_t t = 0; t < trace.numIntervals(); ++t) {
+        std::size_t fitted = 0;
+        for (std::size_t fn = 0; fn < functions; ++fn) {
+            const double v = trace.functions()[fn].concurrency[t];
+            for (ForecastPool &pool : pools)
+                pool.observe(fn, v);
+            scalar[fn].observe(v);
+            if (v != 0.0)
+                last_active[fn] = t;
+            const bool silent = last_active[fn] == kNever ||
+                t - last_active[fn] >= config.window;
+            coverage.resilenced += silent && !was_silent[fn];
+            was_silent[fn] = silent;
+            fitted += !silent && t + 1 >= config.min_samples;
+        }
+        coverage.partial_blocks += fitted % kernels::kLanes != 0;
+
+        for (ForecastPool &pool : pools)
+            pool.forecastAll(horizon);
+        for (std::size_t fn = 0; fn < functions; ++fn) {
+            scalar[fn].forecastHorizon(horizon, golden);
+            for (const ForecastPool &pool : pools) {
+                expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
+                if (::testing::Test::HasFatalFailure())
+                    return coverage;
+            }
+        }
+    }
+    return coverage;
+}
+
+TEST(ForecastPoolTest, GeneratorHistoriesMatchScalarAtAnyWidth)
+{
+    // Real history shapes rather than signalAt's dense sums: fig6's
+    // generator config (fewer functions and intervals; 45 leaves a
+    // partial last block) and the sparse Azure-shaped preset, whose
+    // lanes go silent again once their last spike leaves the window,
+    // so each interval packs a different set of lanes into blocks.
+    trace::SyntheticConfig fig6;
+    fig6.num_functions = 45;
+    fig6.num_intervals = 260;
+    fig6.min_memory_mb = 256;
+    const trace::Trace shapes[] = {
+        trace::SyntheticTraceGenerator(fig6).generate(),
+        trace::SyntheticTraceGenerator(trace::azureScaleConfig(64, 240))
+            .generate(),
+    };
+    std::size_t resilenced = 0;
+    for (const trace::Trace &trace : shapes) {
+        const RollCoverage coverage = rollTraceAndCompare(trace);
+        ASSERT_FALSE(HasFatalFailure())
+            << trace.numFunctions() << " functions";
+        EXPECT_GT(coverage.partial_blocks, 0u);
+        resilenced += coverage.resilenced;
+    }
+    EXPECT_GT(resilenced, 0u);
+}
+
 // ------------------------------------------------------- FFT kernels
 
 TEST(ForecastKernelsTest, ForwardRealBatchMatchesPlanBitwise)
@@ -345,6 +447,203 @@ TEST(ForecastKernelsTest, ForwardRealBatchMatchesPlanBitwise)
                     << "n=" << n << " lane=" << l << " bin=" << k;
             }
         }
+    }
+}
+
+// ------------------------------------------------ batched harmonic fit
+
+/** One lane of a fit block: a residual and the magnitudes fitted. */
+struct FitLane
+{
+    std::vector<double> resid;
+    std::vector<double> magnitude; //!< bins 0..n/2, DC ignored
+};
+
+/** Bin magnitudes of @p series, as FftPredictor computes them. */
+std::vector<double>
+magnitudesOf(const std::vector<double> &series)
+{
+    const std::size_t n = series.size();
+    std::vector<math::Complex> spectrum(n);
+    math::FftScratch fft_ws;
+    math::fftPlanFor(n)->forwardReal(series.data(), spectrum.data(), fft_ws);
+    std::vector<double> magnitude(n / 2 + 1, 0.0);
+    for (std::size_t k = 1; k <= n / 2; ++k)
+        magnitude[k] = std::abs(spectrum[k]);
+    return magnitude;
+}
+
+/** A lane whose magnitudes are its residual's own. */
+FitLane
+spectrumLane(std::vector<double> resid)
+{
+    FitLane lane;
+    lane.magnitude = magnitudesOf(resid);
+    lane.resid = std::move(resid);
+    return lane;
+}
+
+/**
+ * Cosines at the exact bins 1, 3, 5, ...: no leakage, so their
+ * magnitudes hold exactly @p count spectral peaks (the rest is
+ * roundoff far below the 1e-12 peak floor).
+ */
+std::vector<double>
+binCosines(std::size_t n, std::size_t count, std::size_t salt)
+{
+    std::vector<double> resid(n, 0.0);
+    for (std::size_t c = 0; c < count; ++c) {
+        const double amp = 0.2 + 0.15 * static_cast<double>((c + salt) % 6);
+        const double w = 2.0 * M_PI * static_cast<double>(2 * c + 1) /
+            static_cast<double>(n);
+        for (std::size_t t = 0; t < n; ++t)
+            resid[t] += amp *
+                std::cos(w * static_cast<double>(t) +
+                         0.3 * static_cast<double>(c + salt));
+    }
+    return resid;
+}
+
+/** A sparse spiky window, detrended by its mean: many leaky peaks. */
+std::vector<double>
+spikyResidual(std::size_t n, std::size_t salt)
+{
+    std::vector<double> resid(n, 0.0);
+    for (std::size_t t = salt % 5; t < n; t += 7 + salt % 4)
+        resid[t] = 1.0 + static_cast<double>((t + salt) % 3);
+    double mean = 0.0;
+    for (const double v : resid)
+        mean += v;
+    mean /= static_cast<double>(n);
+    for (double &v : resid)
+        v -= mean;
+    return resid;
+}
+
+/**
+ * Fit @p lanes through kernels::fitHarmonicsBatch as one block (a
+ * column past lanes.size() holds junk the fit must ignore), then
+ * check every lane's harmonics bit for bit against
+ * math::decomposeFromMagnitudes on the same residual and magnitudes.
+ * Returns the scalar reference per lane.
+ */
+std::vector<std::vector<math::Harmonic>>
+fitBlockAndCompare(std::size_t n, const std::vector<FitLane> &lanes)
+{
+    using kernels::kLanes;
+    const std::size_t max_components = 10;
+    const auto plan = math::fftPlanFor(n);
+    kernels::BlockContext ctx;
+    ctx.plan = plan.get();
+    ctx.window = n;
+    ctx.harmonics = max_components;
+    kernels::BlockScratch scratch;
+    scratch.prepare(ctx);
+
+    std::vector<double> resid(n * kLanes);
+    std::vector<double> magnitude((n / 2 + 1) * kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        for (std::size_t i = 0; i < n; ++i)
+            resid[i * kLanes + l] =
+                l < lanes.size() ? lanes[l].resid[i] : signalAt(l, i);
+        for (std::size_t k = 0; k <= n / 2; ++k)
+            magnitude[k * kLanes + l] =
+                l < lanes.size() ? lanes[l].magnitude[k] : 1.0;
+    }
+    kernels::fitHarmonicsBatch(ctx, lanes.size(), resid.data(),
+                               magnitude.data(), scratch);
+
+    std::vector<std::vector<math::Harmonic>> reference(lanes.size());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        math::HarmonicsWorkspace ws;
+        ws.magnitude = lanes[l].magnitude;
+        math::decomposeFromMagnitudes(lanes[l].resid.data(), n,
+                                      max_components, reference[l], ws);
+        const std::vector<math::Harmonic> &batch = scratch.harm[l];
+        EXPECT_EQ(batch.size(), reference[l].size())
+            << "n=" << n << " lane=" << l;
+        for (std::size_t h = 0;
+             h < std::min(batch.size(), reference[l].size()); ++h) {
+            EXPECT_EQ(bits(batch[h].amplitude), bits(reference[l][h].amplitude))
+                << "n=" << n << " lane=" << l << " harmonic=" << h;
+            EXPECT_EQ(bits(batch[h].frequency), bits(reference[l][h].frequency))
+                << "n=" << n << " lane=" << l << " harmonic=" << h;
+            EXPECT_EQ(bits(batch[h].phase), bits(reference[l][h].phase))
+                << "n=" << n << " lane=" << l << " harmonic=" << h;
+        }
+    }
+    return reference;
+}
+
+TEST(ForecastKernelsTest, LaneBatchedFitMatchesScalarBitwise)
+{
+    for (const std::size_t n : {8u, 9u, 64u, 120u, 128u}) {
+        const std::size_t half = n / 2;
+        const std::size_t most = (half + 1) / 2; // bins 1, 3, 5, ...
+
+        // Mixed peak counts m = 1..8 (as many as n has room for), so
+        // every lane but the largest is padded.
+        std::vector<FitLane> mixed;
+        std::vector<std::size_t> want;
+        for (const std::size_t m : {3u, 1u, 8u, 2u, 7u, 4u, 6u, 5u}) {
+            want.push_back(std::min<std::size_t>(m, most));
+            mixed.push_back(spectrumLane(binCosines(n, want.back(), m)));
+        }
+        const auto mixed_ref = fitBlockAndCompare(n, mixed);
+        for (std::size_t l = 0; l < mixed.size(); ++l)
+            EXPECT_EQ(mixed_ref[l].size(), want[l]) << "n=" << n;
+
+        std::vector<FitLane> special;
+        // 0: an exact Nyquist peak at even n (f = 1/2, so D(2w) is a
+        // direct sum).
+        std::vector<double> nyquist = binCosines(n, 1, 4);
+        if (n % 2 == 0)
+            for (std::size_t t = 0; t < n; ++t)
+                nyquist[t] += t % 2 == 0 ? 1.5 : -1.5;
+        special.push_back(spectrumLane(nyquist));
+        // 1: a flat top: equal magnitudes at bins b, b+1 both refine
+        // onto (b + 1/2) / n, so D(w_i - w_j) is a direct sum.
+        const std::size_t b = std::max<std::size_t>(2, half / 2);
+        std::vector<double> flat(n);
+        for (std::size_t t = 0; t < n; ++t)
+            flat[t] = std::cos(2.0 * M_PI * (static_cast<double>(b) + 0.5) *
+                               static_cast<double>(t) /
+                               static_cast<double>(n));
+        special.push_back(spectrumLane(flat));
+        special.back().magnitude[b + 1] = special.back().magnitude[b];
+        // 2: a singular system: a -1e-12 magnitude beside the peak at
+        // bin 3 makes its log-refinement 0/0, so its normal matrix is
+        // NaN and the lane falls back to decompose().
+        special.push_back(spectrumLane(binCosines(n, 2, 1)));
+        special.back().magnitude[2] = -1e-12;
+        // 3-6: spiky windows (m = 10 where n allows), one cosine, and a
+        // zero residual (no peaks at all); column 7 is not a lane.
+        special.push_back(spectrumLane(spikyResidual(n, 1)));
+        special.push_back(spectrumLane(binCosines(n, 1, 2)));
+        special.push_back(spectrumLane(std::vector<double>(n, 0.0)));
+        special.push_back(spectrumLane(spikyResidual(n, 6)));
+        const auto special_ref = fitBlockAndCompare(n, special);
+
+        if (n % 2 == 0) {
+            bool has_nyquist = false;
+            for (const math::Harmonic &h : special_ref[0])
+                has_nyquist = has_nyquist || h.frequency == 0.5;
+            EXPECT_TRUE(has_nyquist) << "n=" << n;
+        }
+        std::size_t coincident = 0;
+        for (const math::Harmonic &h : special_ref[1])
+            coincident += h.frequency == (static_cast<double>(b) + 0.5) /
+                static_cast<double>(n);
+        EXPECT_EQ(coincident, 2u) << "n=" << n;
+        const std::vector<math::Harmonic> fallback =
+            math::decompose(special[2].resid, 10);
+        ASSERT_EQ(special_ref[2].size(), fallback.size()) << "n=" << n;
+        for (std::size_t h = 0; h < fallback.size(); ++h) {
+            EXPECT_EQ(bits(special_ref[2][h].amplitude),
+                      bits(fallback[h].amplitude));
+            EXPECT_EQ(bits(special_ref[2][h].phase), bits(fallback[h].phase));
+        }
+        EXPECT_TRUE(special_ref[5].empty()) << "n=" << n;
     }
 }
 
