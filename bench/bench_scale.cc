@@ -31,13 +31,7 @@
  *   --smoke                         small workload + forced spill;
  *                                   correctness gates only
  *   --baseline PATH                 gate against the committed
- *                                   BENCH_scale.json: [telemetry
- *                                   overhead] -- the histograms-on/off
- *                                   events/s ratio of the streamed
- *                                   core must stay within 2% of 1.0
- *                                   (best of up to 5 rounds, measured
- *                                   in the streamed phase);
- *                                   [metrics digest]
+ *                                   BENCH_scale.json: [metrics digest]
  *                                   -- the fixed-geometry streamed
  *                                   IceBreaker digest must match
  *                                   exactly (machine-independent);
@@ -51,25 +45,22 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <limits>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_probe.hh"
 #include "common/cli.hh"
 #include "core/icebreaker.hh"
 #include "harness/baseline_gate.hh"
-#include "obs/recorder.hh"
 #include "policies/openwhisk_policy.hh"
 #include "sim/cluster_config.hh"
 #include "sim/simulator.hh"
@@ -80,42 +71,12 @@
 #include "workload/benchmark_suite.hh"
 #include "workload/profile_matcher.hh"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter (same probe as bench_sim): counts every
-// operator new in the process, so deltas are taken around
-// single-threaded measurement regions only.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<long long> g_alloc_count{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
 namespace
 {
 
 using namespace iceb;
+using bench::digestHex;
+using bench::hashMetrics;
 using Clock = std::chrono::steady_clock;
 
 struct BenchConfig
@@ -195,79 +156,6 @@ scaleCluster(std::size_t num_functions)
     return cluster;
 }
 
-// ------------------------------------------------------------ digesting
-
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aDouble(std::uint64_t hash, double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnv1a(hash, bits);
-}
-
-/** Hash every result field (the byte-identity gate's comparator). */
-std::uint64_t
-hashMetrics(const sim::SimulationMetrics &m)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, m.invocations);
-    hash = fnv1a(hash, m.cold_starts);
-    hash = fnv1a(hash, m.warm_starts);
-    hash = fnv1a(hash, m.cold_no_container);
-    hash = fnv1a(hash, m.cold_all_busy);
-    hash = fnv1a(hash, m.cold_setup_attach);
-    hash = fnv1aDouble(hash, m.sum_service_ms);
-    hash = fnv1aDouble(hash, m.sum_wait_ms);
-    hash = fnv1aDouble(hash, m.sum_cold_ms);
-    hash = fnv1aDouble(hash, m.sum_exec_ms);
-    hash = fnv1aDouble(hash, m.sum_overhead_ms);
-    for (const auto *samples :
-         {&m.service_times_ms, &m.service_times_high_ms,
-          &m.service_times_low_ms}) {
-        hash = fnv1a(hash, samples->size());
-        for (float sample : *samples) {
-            std::uint32_t bits = 0;
-            std::memcpy(&bits, &sample, sizeof(bits));
-            hash = fnv1a(hash, bits);
-        }
-    }
-    for (const sim::FunctionMetrics &fm : m.per_function) {
-        hash = fnv1a(hash, fm.invocations);
-        hash = fnv1a(hash, fm.cold_starts);
-        hash = fnv1a(hash, fm.warm_starts);
-        hash = fnv1aDouble(hash, fm.sum_service_ms);
-        hash = fnv1aDouble(hash, fm.sum_wait_ms);
-        hash = fnv1aDouble(hash, fm.sum_cold_ms);
-        hash = fnv1aDouble(hash, fm.sum_exec_ms);
-        hash = fnv1aDouble(hash, fm.keep_alive_cost);
-    }
-    for (int t = 0; t < kNumTiers; ++t) {
-        hash = fnv1aDouble(hash, m.keep_alive[t].successful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasteful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasted_mb_ms);
-    }
-    return hash;
-}
-
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buffer[20];
-    std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buffer;
-}
-
 // --------------------------------------------------------------- timing
 
 double
@@ -316,14 +204,6 @@ struct RunRow
 {
     double events_per_sec = 0.0;
     std::size_t peak_rss_kb = 0;
-};
-
-/** The telemetry-overhead row: histograms on vs off, streamed core. */
-struct TelemetryRow
-{
-    double events_per_sec_off = 0.0;
-    double events_per_sec_on = 0.0;
-    double overhead_ratio = 0.0; //!< on / off (1.0 = free)
 };
 
 // ---------------------------------------------------------------- phases
@@ -405,8 +285,7 @@ writeJson(const BenchConfig &cfg, std::uint64_t arrivals,
           std::size_t spill_runs, std::uint64_t spilled_bytes,
           const IngestRow &materialize, const RunRow &streamed,
           const RunRow &materialized, bool agree,
-          long long hinted_allocs, const std::string &fixed_digest,
-          const TelemetryRow &telemetry)
+          long long hinted_allocs, const std::string &fixed_digest)
 {
     const double rss_ratio = streamed.peak_rss_kb > 0
         ? static_cast<double>(materialized.peak_rss_kb) /
@@ -448,11 +327,6 @@ writeJson(const BenchConfig &cfg, std::uint64_t arrivals,
     out << "  \"rss_ratio\": " << rss_ratio << ",\n";
     out << "  \"agreement\": " << (agree ? "true" : "false") << ",\n";
     out << "  \"allocations\": {\"hinted_run\": " << hinted_allocs
-        << "},\n";
-    out << "  \"telemetry\": {\"events_per_sec_off\": "
-        << telemetry.events_per_sec_off
-        << ", \"events_per_sec_on\": " << telemetry.events_per_sec_on
-        << ", \"overhead_ratio\": " << telemetry.overhead_ratio
         << "},\n";
     out << "  \"fixed\": {\"functions\": " << kFixedFunctions
         << ", \"intervals\": " << kFixedIntervals
@@ -567,7 +441,6 @@ main(int argc, char **argv)
     long long hinted_allocs = 0;
     double streamed_best_ms = 0.0;
     sim::SimCapacityHints hints;
-    TelemetryRow telemetry;
     {
         const auto ingest_start = Clock::now();
         trace::SyntheticRowStream rows(workload_config);
@@ -616,10 +489,10 @@ main(int argc, char **argv)
             sim::Simulator hinted(source, profiles, cluster, policy,
                                   options);
             const long long before =
-                g_alloc_count.load(std::memory_order_relaxed);
+                bench::allocationCount();
             (void)hinted.run();
             hinted_allocs =
-                g_alloc_count.load(std::memory_order_relaxed) - before;
+                bench::allocationCount() - before;
         }
         std::printf("allocations in hinted streamed run(): %lld\n",
                     hinted_allocs);
@@ -638,60 +511,6 @@ main(int argc, char **argv)
 
         // The RSS sample covers exactly ingest + profiles + runs.
         streamed.peak_rss_kb = peakRssKb();
-
-        // Telemetry overhead row: the same hinted streamed run with
-        // latency histograms attached, best-of-N on both sides so the
-        // ratio is a ratio of minima. Re-measure-on-miss happens here
-        // (not in the gate block) while the source is still alive.
-        {
-            obs::ObsConfig obs_config;
-            obs_config.histograms = true;
-            obs::RunRecorder recorder(obs_config);
-            sim::SimulatorOptions plain_options;
-            plain_options.hints = hints;
-            sim::SimulatorOptions hist_options;
-            hist_options.hints = hints;
-            hist_options.recorder = &recorder;
-            const auto measure = [&] {
-                TelemetryRow row;
-                const double off_ms = bestOfMs(
-                    [&] {
-                        (void)sim::runSimulation(source, profiles,
-                                                 cluster, policy,
-                                                 plain_options);
-                    },
-                    cfg.repeats);
-                const double on_ms = bestOfMs(
-                    [&] {
-                        (void)sim::runSimulation(source, profiles,
-                                                 cluster, policy,
-                                                 hist_options);
-                    },
-                    cfg.repeats);
-                row.events_per_sec_off =
-                    static_cast<double>(events) / (off_ms / 1000.0);
-                row.events_per_sec_on =
-                    static_cast<double>(events) / (on_ms / 1000.0);
-                row.overhead_ratio =
-                    row.events_per_sec_on / row.events_per_sec_off;
-                return row;
-            };
-            telemetry = measure();
-            for (int round = 2;
-                 telemetry.overhead_ratio < 0.98 && round <= 5;
-                 ++round) {
-                const TelemetryRow again = measure();
-                std::printf("telemetry re-measure round %d: %.5f\n",
-                            round, again.overhead_ratio);
-                if (again.overhead_ratio > telemetry.overhead_ratio)
-                    telemetry = again;
-            }
-        }
-        std::printf("telemetry: %8.0f events/sec histograms off, "
-                    "%8.0f events/sec on (ratio %.4f)\n",
-                    telemetry.events_per_sec_off,
-                    telemetry.events_per_sec_on,
-                    telemetry.overhead_ratio);
 
         std::printf("streamed run: %8.0f events/sec, peak RSS %.1f "
                     "MB\n",
@@ -769,8 +588,7 @@ main(int argc, char **argv)
 
     writeJson(cfg, arrivals, invocations, events, csv, stream_ingest,
               spill_runs, spilled_bytes, materialize, streamed,
-              materialized, agree, hinted_allocs, fixed_digest,
-              telemetry);
+              materialized, agree, hinted_allocs, fixed_digest);
     std::printf("wrote %s\n", cfg.json_path.c_str());
 
     // ------------------------------------------------------------ gates
@@ -807,20 +625,6 @@ main(int argc, char **argv)
         if (!digest_gate.ok) {
             std::fprintf(stderr, "FAIL: %s\n",
                          digest_gate.message.c_str());
-            return 1;
-        }
-
-        // Telemetry gates against 1.0, not the baseline file: the
-        // histogram pillar must stay within 2% of free on the
-        // streamed core (re-measure rounds already ran in the
-        // streamed phase). Geometry-independent, so smoke runs gate
-        // it too.
-        const harness::GateResult telemetry_gate = harness::gateRatio(
-            "telemetry overhead", telemetry.overhead_ratio, 1.0, 0.02);
-        std::printf("%s\n", telemetry_gate.message.c_str());
-        if (!telemetry_gate.ok) {
-            std::fprintf(stderr, "FAIL: %s\n",
-                         telemetry_gate.message.c_str());
             return 1;
         }
 

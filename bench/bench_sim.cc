@@ -18,7 +18,6 @@
  * Flags:
  *   --functions N / --intervals N   workload size (default 64 x 120)
  *   --repeats R                     timed runs per core (default 5)
- *   --threads N                     spread timed runs across N threads
  *   --json PATH                     output path (default BENCH_sim.json)
  *   --smoke                         tiny workload + correctness gates:
  *                                   exits non-zero if the cores
@@ -59,21 +58,18 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <limits>
-#include <new>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_probe.hh"
 #include "common/cli.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
@@ -84,42 +80,12 @@
 #include "policies/openwhisk_policy.hh"
 #include "sim/simulator.hh"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter. Counts every operator new in the
-// process, so deltas are taken around single-threaded measurement
-// regions only.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<long long> g_alloc_count{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void *ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
 namespace
 {
 
 using namespace iceb;
+using bench::digestHex;
+using bench::hashMetrics;
 using Clock = std::chrono::steady_clock;
 
 struct BenchConfig
@@ -127,7 +93,6 @@ struct BenchConfig
     std::size_t num_functions = 64;
     std::size_t num_intervals = 120; // 2 hours of 1-minute slots
     std::size_t repeats = 5;
-    std::size_t threads = 1;
     std::string json_path = "BENCH_sim.json";
     std::string baseline_path;
     bool smoke = false;
@@ -233,68 +198,6 @@ buildWorkload(const BenchConfig &cfg)
 
 // ------------------------------------------------------------ agreement
 
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aDouble(std::uint64_t hash, double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnv1a(hash, bits);
-}
-
-/** Hash every output both cores share (event_loop is new-only). */
-std::uint64_t
-hashMetrics(const sim::SimulationMetrics &m)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, m.invocations);
-    hash = fnv1a(hash, m.cold_starts);
-    hash = fnv1a(hash, m.warm_starts);
-    hash = fnv1a(hash, m.cold_no_container);
-    hash = fnv1a(hash, m.cold_all_busy);
-    hash = fnv1a(hash, m.cold_setup_attach);
-    hash = fnv1aDouble(hash, m.sum_service_ms);
-    hash = fnv1aDouble(hash, m.sum_wait_ms);
-    hash = fnv1aDouble(hash, m.sum_cold_ms);
-    hash = fnv1aDouble(hash, m.sum_exec_ms);
-    hash = fnv1aDouble(hash, m.sum_overhead_ms);
-    for (const auto *samples :
-         {&m.service_times_ms, &m.service_times_high_ms,
-          &m.service_times_low_ms}) {
-        hash = fnv1a(hash, samples->size());
-        for (float sample : *samples) {
-            std::uint32_t bits = 0;
-            std::memcpy(&bits, &sample, sizeof(bits));
-            hash = fnv1a(hash, bits);
-        }
-    }
-    for (const sim::FunctionMetrics &fm : m.per_function) {
-        hash = fnv1a(hash, fm.invocations);
-        hash = fnv1a(hash, fm.cold_starts);
-        hash = fnv1a(hash, fm.warm_starts);
-        hash = fnv1aDouble(hash, fm.sum_service_ms);
-        hash = fnv1aDouble(hash, fm.sum_wait_ms);
-        hash = fnv1aDouble(hash, fm.sum_cold_ms);
-        hash = fnv1aDouble(hash, fm.sum_exec_ms);
-        hash = fnv1aDouble(hash, fm.keep_alive_cost);
-    }
-    for (int t = 0; t < kNumTiers; ++t) {
-        hash = fnv1aDouble(hash, m.keep_alive[t].successful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasteful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasted_mb_ms);
-    }
-    return hash;
-}
-
 sim::SimulationMetrics
 runLegacy(const BenchWorkload &w)
 {
@@ -337,15 +240,6 @@ runLiveHist(const BenchWorkload &w, const sim::SimCapacityHints &hints,
 constexpr std::size_t kFixedFunctions = 32;
 constexpr std::size_t kFixedIntervals = 36;
 
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buffer[20];
-    std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buffer;
-}
-
 /** The fixed-geometry digest row of the JSON report. */
 struct FixedRow
 {
@@ -379,59 +273,38 @@ struct CoreTiming
 };
 
 /**
- * Time @p repeats complete simulations spread across @p threads
- * (each run is independent; both cores are measured identically).
- * @p events is the logical event count of ONE run.
+ * Time @p repeats complete simulations one after another. @p events
+ * is the logical event count of ONE run.
  *
- * Single-threaded runs report the BEST (minimum) per-repeat time:
- * contention on a shared machine only ever adds time, so the minimum
- * is the observation closest to the true cost, and the ratio of two
- * minima (the speedup the --baseline gate enforces) is far more
- * stable than the ratio of medians. Multi-threaded runs time the
- * whole batch (the point there is aggregate throughput).
+ * Reports the BEST (minimum) per-repeat time: contention on a shared
+ * machine only ever adds time, so the minimum is the observation
+ * closest to the true cost, and the ratio of two minima (the speedup
+ * the --baseline gate enforces) is far more stable than the ratio of
+ * medians.
  */
 template <typename RunFn>
 CoreTiming
-timeCore(RunFn &&run_fn, std::size_t repeats, std::size_t threads,
-         std::uint64_t events)
+timeCore(RunFn &&run_fn, std::size_t repeats, std::uint64_t events)
 {
     const auto start = Clock::now();
-    double best_run_ms = 0.0;
-    if (threads <= 1) {
-        best_run_ms = std::numeric_limits<double>::infinity();
-        for (std::size_t r = 0; r < repeats; ++r) {
-            const auto run_start = Clock::now();
-            run_fn();
-            best_run_ms =
-                std::min(best_run_ms,
-                         std::chrono::duration<double, std::milli>(
-                             Clock::now() - run_start)
-                             .count());
-        }
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-            pool.emplace_back([&] {
-                while (next.fetch_add(1) < repeats)
-                    run_fn();
-            });
-        }
-        for (std::thread &worker : pool)
-            worker.join();
+    double best_run_ms = std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < repeats; ++r) {
+        const auto run_start = Clock::now();
+        run_fn();
+        best_run_ms = std::min(best_run_ms,
+                               std::chrono::duration<double, std::milli>(
+                                   Clock::now() - run_start)
+                                   .count());
     }
-    const auto end = Clock::now();
 
     CoreTiming timing;
     timing.wall_ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    const double rep_ms = threads <= 1
-        ? best_run_ms
-        : timing.wall_ms / static_cast<double>(repeats);
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
     timing.events_per_sec =
-        static_cast<double>(events) / (rep_ms / 1000.0);
-    timing.ns_per_event = rep_ms * 1e6 / static_cast<double>(events);
+        static_cast<double>(events) / (best_run_ms / 1000.0);
+    timing.ns_per_event =
+        best_run_ms * 1e6 / static_cast<double>(events);
     return timing;
 }
 
@@ -461,7 +334,6 @@ writeJson(const BenchConfig &cfg, std::uint64_t events,
         << ", \"invocations\": " << invocations
         << ", \"events\": " << events << "},\n";
     out << "  \"repeats\": " << cfg.repeats << ",\n";
-    out << "  \"threads\": " << cfg.threads << ",\n";
     out << "  \"agreement\": " << (agree ? "true" : "false") << ",\n";
     out << "  \"legacy\": {\"wall_ms\": " << legacy.wall_ms
         << ", \"events_per_sec\": " << legacy.events_per_sec
@@ -521,7 +393,7 @@ usage(int status)
 {
     (status == 0 ? std::cout : std::cerr)
         << "usage: bench_sim [--functions N] [--intervals N]\n"
-           "                 [--repeats R] [--threads N]\n"
+           "                 [--repeats R]\n"
            "                 [--json PATH] [--smoke]\n"
            "                 [--baseline PATH]\n";
     std::exit(status);
@@ -553,8 +425,6 @@ parseArgs(int argc, char **argv)
             cfg.num_intervals = count();
         } else if (arg == "--repeats") {
             cfg.repeats = count();
-        } else if (arg == "--threads") {
-            cfg.threads = count();
         } else if (arg == "--json") {
             cfg.json_path = next();
         } else if (arg == "--baseline") {
@@ -614,10 +484,10 @@ main(int argc, char **argv)
         policies::OpenWhiskPolicy policy;
         sim::Simulator sim(w.tr, w.profiles, w.cluster, policy, {});
         const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+            bench::allocationCount();
         (void)sim.run();
         calib_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+            bench::allocationCount() - before;
     }
     {
         policies::OpenWhiskPolicy policy;
@@ -625,10 +495,10 @@ main(int argc, char **argv)
         options.hints = hints;
         sim::Simulator sim(w.tr, w.profiles, w.cluster, policy, options);
         const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+            bench::allocationCount();
         (void)sim.run();
         hinted_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+            bench::allocationCount() - before;
     }
     // The same hinted run with latency histograms attached: record()
     // is array increments into a preconstructed set, so telemetry must
@@ -645,10 +515,10 @@ main(int argc, char **argv)
         options.recorder = &recorder;
         sim::Simulator sim(w.tr, w.profiles, w.cluster, policy, options);
         const long long before =
-            g_alloc_count.load(std::memory_order_relaxed);
+            bench::allocationCount();
         (void)sim.run();
         hinted_hist_allocs =
-            g_alloc_count.load(std::memory_order_relaxed) - before;
+            bench::allocationCount() - before;
     }
     std::printf("allocations in run(): calibration %lld, hinted %lld "
                 "(%.6f per invocation), hinted+histograms %lld\n",
@@ -661,11 +531,10 @@ main(int argc, char **argv)
     // One untimed warmup of each core, then the timed batches.
     (void)runLegacy(w);
     (void)runLive(w, hints);
-    const CoreTiming legacy_timing = timeCore(
-        [&] { (void)runLegacy(w); }, cfg.repeats, cfg.threads, events);
-    const CoreTiming live_timing = timeCore(
-        [&] { (void)runLive(w, hints); }, cfg.repeats, cfg.threads,
-        events);
+    const CoreTiming legacy_timing =
+        timeCore([&] { (void)runLegacy(w); }, cfg.repeats, events);
+    const CoreTiming live_timing =
+        timeCore([&] { (void)runLive(w, hints); }, cfg.repeats, events);
     const double speedup =
         live_timing.events_per_sec / legacy_timing.events_per_sec;
 
@@ -676,9 +545,9 @@ main(int argc, char **argv)
     std::printf("speedup vs legacy: %.2fx\n", speedup);
 
     // --------------------------------------------- telemetry overhead
-    // Histograms on vs off on the hinted live core, single-threaded
-    // best-of-N on both sides so the overhead ratio is a ratio of two
-    // minima (same estimator as the legacy/live gate). The recorder
+    // Histograms on vs off on the hinted live core, best-of-N on both
+    // sides so the overhead ratio is a ratio of two minima (same
+    // estimator as the legacy/live gate). The recorder
     // persists across repeats: construction is setup cost, and
     // record() cost does not depend on accumulated counts.
     obs::ObsConfig telemetry_config;
@@ -687,10 +556,10 @@ main(int argc, char **argv)
     (void)runLiveHist(w, hints, telemetry_recorder); // warmup
     const auto measureTelemetry = [&] {
         const CoreTiming off = timeCore(
-            [&] { (void)runLive(w, hints); }, cfg.repeats, 1, events);
+            [&] { (void)runLive(w, hints); }, cfg.repeats, events);
         const CoreTiming on = timeCore(
             [&] { (void)runLiveHist(w, hints, telemetry_recorder); },
-            cfg.repeats, 1, events);
+            cfg.repeats, events);
         TelemetryRow row;
         row.events_per_sec_off = off.events_per_sec;
         row.events_per_sec_on = on.events_per_sec;
@@ -768,12 +637,10 @@ main(int argc, char **argv)
         const double floor = *base * 0.98;
         double best = speedup;
         for (int round = 2; best < floor && round <= 5; ++round) {
-            const CoreTiming lt = timeCore([&] { (void)runLegacy(w); },
-                                           cfg.repeats, cfg.threads,
-                                           events);
-            const CoreTiming vt =
-                timeCore([&] { (void)runLive(w, hints); }, cfg.repeats,
-                         cfg.threads, events);
+            const CoreTiming lt = timeCore(
+                [&] { (void)runLegacy(w); }, cfg.repeats, events);
+            const CoreTiming vt = timeCore(
+                [&] { (void)runLive(w, hints); }, cfg.repeats, events);
             const double again = vt.events_per_sec / lt.events_per_sec;
             std::printf("gate re-measure round %d: %.5f\n", round,
                         again);

@@ -20,6 +20,7 @@
 #include "predictors/hybrid_histogram.hh"
 #include "predictors/lstm.hh"
 #include "predictors/prediction_tracker.hh"
+#include "seed_predictor.hh"
 
 namespace
 {
@@ -210,6 +211,61 @@ TEST(FftPredictorTest, RingBufferMatchesEraseWindowReference)
                 << "t=" << t << " step=" << step;
         }
     }
+}
+
+TEST(FftPredictorTest, MatchesSeedPredictor)
+{
+    // The forecaster against the seed's implementation
+    // (seed_predictor.hh), which shares none of its fitting code:
+    // 11-step horizons at window 120 from the first observation on,
+    // so warm-up and the window-mean steps are covered too. The
+    // real-input FFT packing reorders roundoff, so forecasts agree to
+    // a tolerance, not bitwise.
+    const auto two_tones = [](std::size_t t) {
+        const double ft = static_cast<double>(t);
+        return std::max(0.0, 7.0 +
+                                 3.0 * std::cos(2.0 * M_PI * ft / 33.0 +
+                                                0.37 * 3.0) +
+                                 1.5 * std::cos(2.0 * M_PI * ft / 4.7) +
+                                 0.004 * 3.0 * ft);
+    };
+    // Twelve tones, more than the ten harmonics the FIP keeps, so the
+    // top-10 peak selection decides the forecast. Smooth signals with
+    // fewer peaks than that cannot tell nine kept harmonics from ten.
+    const auto twelve_tones = [](std::size_t t) {
+        const double ft = static_cast<double>(t);
+        double value = 30.0 + 0.01 * ft;
+        for (int j = 1; j <= 12; ++j) {
+            value += (4.0 / j) *
+                std::cos(2.0 * M_PI * ft * (4.3 * j + 0.37) / 120.0 +
+                         0.7 * j);
+        }
+        return std::max(0.0, value);
+    };
+
+    const FftPredictorConfig config;
+    ASSERT_EQ(config.window, 120u);
+    ASSERT_EQ(config.harmonics, 10u);
+    const std::size_t horizon = 11;
+    const auto worstDiff = [&](const auto &signal) {
+        FftPredictor predictor(config);
+        seed::Predictor reference(config);
+        std::vector<double> actual;
+        double worst = 0.0;
+        for (std::size_t t = 0; t < config.window + 200; ++t) {
+            predictor.observe(signal(t));
+            reference.observe(signal(t));
+            predictor.forecastHorizon(horizon, actual);
+            const std::vector<double> expected =
+                reference.forecastHorizon(horizon);
+            for (std::size_t step = 0; step < horizon; ++step)
+                worst = std::max(worst,
+                                 std::fabs(actual[step] - expected[step]));
+        }
+        return worst;
+    };
+    EXPECT_LE(worstDiff(two_tones), 1e-9);
+    EXPECT_LE(worstDiff(twelve_tones), 1e-9);
 }
 
 // ---------------------------------------------------------------- ARIMA
