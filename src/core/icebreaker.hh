@@ -27,7 +27,6 @@
 
 #include "common/units.hh"
 #include "core/pdm.hh"
-#include "predictors/fft_predictor.hh"
 #include "predictors/forecast_pool.hh"
 #include "predictors/prediction_tracker.hh"
 #include "sim/policy.hh"
@@ -72,13 +71,12 @@ struct IceBreakerConfig
     std::size_t keep_alive_horizon = 10;
 
     /**
-     * Forecast width of the batched FIP (the ForecastPool), whose
-     * forecasts are bit-identical to per-function FftPredictor
-     * instances. Blocks are forecast as this many executor
-     * participants: 1 runs them inline and the default 0 means the
-     * hardware thread count. Inside a runner grid the forecast runs
-     * on its own worker plus whichever workers the other runs left
-     * parked. Forecasts are byte-identical for any width.
+     * Forecast width of the batched FIP (the ForecastPool). Blocks
+     * are forecast as this many executor participants: 1 runs them
+     * inline and the default 0 means the hardware thread count.
+     * Inside a runner grid the forecast runs on its own worker plus
+     * whichever workers the other runs left parked. Forecasts are
+     * byte-identical for any width.
      */
     std::size_t fip_threads = 0;
 };

@@ -197,42 +197,6 @@ countSignificantHarmonics(const std::vector<double> &series,
     return count;
 }
 
-std::vector<Harmonic>
-decomposeForExtrapolation(const std::vector<double> &series,
-                          std::size_t max_components)
-{
-    std::vector<Harmonic> out;
-    HarmonicsWorkspace ws;
-    decomposeForExtrapolation(series.data(), series.size(),
-                              max_components, out, ws);
-    return out;
-}
-
-void
-decomposeForExtrapolation(const double *series, std::size_t n,
-                          std::size_t max_components,
-                          std::vector<Harmonic> &out,
-                          HarmonicsWorkspace &ws)
-{
-    if (n < 8 || max_components == 0) {
-        out = decompose(std::vector<double>(series, series + n),
-                        max_components);
-        return;
-    }
-
-    if (!ws.plan || ws.plan->size() != n)
-        ws.plan = fftPlanFor(n);
-    ws.spectrum.resize(n);
-    ws.plan->forwardReal(series, ws.spectrum.data(), ws.fft);
-
-    const std::size_t half = n / 2;
-    ws.magnitude.assign(half + 1, 0.0);
-    for (std::size_t k = 1; k <= half; ++k)
-        ws.magnitude[k] = std::abs(ws.spectrum[k]);
-
-    decomposeFromMagnitudes(series, n, max_components, out, ws);
-}
-
 Complex
 directDirichletSum(double angle, std::size_t n)
 {

@@ -61,22 +61,6 @@ std::size_t countSignificantHarmonics(const std::vector<double> &series,
  */
 double dominantPeriod(const std::vector<double> &series);
 
-/**
- * Extrapolation-grade decomposition. Harmonics at exact FFT bin
- * frequencies k/N all wrap at t = N (the "forecast" would equal the
- * window's first sample), so this variant: (1) finds the top spectral
- * peaks, (2) refines each peak frequency by quadratic interpolation
- * of the log-magnitude spectrum, and (3) least-squares fits
- * amplitude and phase at the refined frequencies. The result
- * genuinely extrapolates beyond the window.
- *
- * @param series Detrended samples at t = 0..N-1.
- * @param max_components Keep at most this many peaks.
- */
-std::vector<Harmonic>
-decomposeForExtrapolation(const std::vector<double> &series,
-                          std::size_t max_components);
-
 /** One spectral peak candidate (exposed for workspace reuse). */
 struct SpectralPeak
 {
@@ -85,10 +69,10 @@ struct SpectralPeak
 };
 
 /**
- * Reusable scratch for the extrapolation-grade decomposition: the
- * cached transform plan, spectrum/magnitude buffers, peak lists and
- * the least-squares system. Owned by the caller (one per predictor)
- * so repeated decompositions allocate nothing in steady state.
+ * Reusable scratch for the extrapolation-grade decomposition
+ * (decomposeFromMagnitudes): a transform plan, spectrum/magnitude
+ * buffers, peak lists and the least-squares system. Owned by the
+ * caller so repeated decompositions allocate nothing in steady state.
  */
 struct HarmonicsWorkspace
 {
@@ -106,20 +90,15 @@ struct HarmonicsWorkspace
 };
 
 /**
- * Allocation-free decomposeForExtrapolation: identical arithmetic to
- * the vector overload (which delegates here), with every intermediate
- * drawn from @p ws and the result written to @p out.
- */
-void decomposeForExtrapolation(const double *series, std::size_t n,
-                               std::size_t max_components,
-                               std::vector<Harmonic> &out,
-                               HarmonicsWorkspace &ws);
-
-/**
- * The peak-picking + least-squares tail of decomposeForExtrapolation,
- * taking bin magnitudes (ws.magnitude[0..n/2], DC ignored) that the
- * caller has already computed from a plan FFT. Requires n >= 8 and
- * max_components >= 1.
+ * Extrapolation-grade decomposition of a detrended series, given its
+ * bin magnitudes (ws.magnitude[0..n/2], DC ignored) from a real FFT.
+ * Harmonics at exact FFT bin frequencies k/N all wrap at t = N (the
+ * "forecast" would equal the window's first sample), so this: (1)
+ * finds the top spectral peaks, (2) refines each peak frequency by
+ * quadratic interpolation of the log-magnitude spectrum, and (3)
+ * least-squares fits amplitude and phase at the refined frequencies.
+ * The result genuinely extrapolates beyond the window. Requires
+ * n >= 8 and max_components >= 1.
  *
  * The least-squares fit never forms the n x 2m design matrix. Over a
  * contiguous window every normal-matrix entry is built from Dirichlet
@@ -129,7 +108,7 @@ void decomposeForExtrapolation(const double *series, std::size_t n,
  * frequency; the 2m x 2m system, with a 1e-9 ridge, is solved by
  * Cholesky. A numerically singular system falls back to decompose().
  *
- * This is the scalar reference: the batched forecast kernels run the
+ * This is the stage reference: the batched forecast kernels run the
  * same stages across 8 lanes (predictors/forecast_kernels.hh) and are
  * tested bit for bit against it.
  *

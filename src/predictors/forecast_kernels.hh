@@ -9,11 +9,13 @@
  * compiled with wider codegen (-march=x86-64-v3 when available, see
  * src/predictors/CMakeLists.txt) but always with -ffp-contract=off
  * and without value-unsafe optimisations, so every lane executes the
- * exact IEEE operation sequence of the scalar FftPredictor path:
+ * exact IEEE operation sequence of math's scalar stages, the FIP's
+ * stage reference:
  *
  *  - the trend fit reuses the shared SeriesPowerTable chain powers
  *    and replays one FactoredSystem per fit length (bit-identical
- *    to polyfitSeries, see math/matrix.hh);
+ *    to polyfitSeries, see math/matrix.hh), and the detrend repeats
+ *    detrendInto's Horner recurrence;
  *  - the batched FFT runs the same butterfly/chirp sequence as
  *    FftPlan::forwardReal from the plan's own tables, with complex
  *    arithmetic written out in the operand order std::complex lowers
@@ -25,10 +27,11 @@
  *    than the block's largest count is padded with identity rows and
  *    columns, which leaves its solution bit for bit unchanged.
  *
- * The result is therefore bit-identical to
- * FftPredictor::forecastHorizon (enforced by test) at every window
- * length n >= 8, which is what lets the pool fit warm-up lanes at
- * n = their sample count through the same kernels.
+ * A lane's forecast is therefore bit-identical to those stages
+ * composed over its window (enforced by test) at every window length
+ * n >= 8, whichever block and lane position it is fitted in, which is
+ * what lets the pool fit warm-up lanes at n = their sample count
+ * through the same kernels.
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_KERNELS_HH

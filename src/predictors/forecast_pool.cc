@@ -15,6 +15,13 @@ namespace
 constexpr std::size_t L = kernels::kLanes;
 constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
 
+/** Per-thread block scratch: kernel buffers + the SoA horizon output. */
+struct BlockBuffers
+{
+    kernels::BlockScratch block;
+    std::vector<double> horizon_tmp;
+};
+
 /** Ring position of a lane's i-th oldest sample. */
 std::size_t
 oldest(std::uint32_t head, std::size_t i, std::size_t window)
@@ -57,7 +64,6 @@ void
 ForecastPool::observe(std::size_t fn, double concurrency)
 {
     ICEB_ASSERT(fn < count_.size(), "forecast pool function out of range");
-    // Mirror of FftPredictor::observe over the lane's ring column.
     const std::size_t w = cfg_.window;
     double *ring = ring_.data() + fn * w;
     const double value = std::max(0.0, concurrency);
@@ -102,12 +108,11 @@ ForecastPool::forecastAll(std::size_t horizon)
     const std::size_t lanes = count_.size();
     forecasts_.assign(lanes * horizon, 0.0);
 
-    // Mirror FftPredictor::forecastHorizon's prologue per lane (the
-    // forecasts_ row is already zeroed, like its out.assign): empty
-    // and silent windows forecast zeros, windows below min_samples
-    // their mean, and the rest join the open block of their sample
-    // count. The per-length tables are built here, serially, so
-    // workers only ever read them.
+    // Per lane (its forecasts_ row is already zeroed): empty and
+    // silent windows forecast zeros, windows below min_samples their
+    // mean, and the rest join the open block of their sample count.
+    // The per-length tables are built here, serially, so workers only
+    // ever read them.
     const std::size_t w = cfg_.window;
     blocks_.clear();
     open_block_.assign(w + 1, kNoBlock);
@@ -140,20 +145,13 @@ ForecastPool::forecastAll(std::size_t horizon)
     if (blocks_.empty())
         return;
 
-    const std::size_t threads = std::min(options_.threads, blocks_.size());
-    workers_.resize(std::max(workers_.size(), threads));
-
     // The shared executor runs block b as participant b mod T, on one
-    // thread in ascending order, so scratch b mod T is private to
-    // whichever thread runs it -- a worker, or the caller of a call
-    // from inside an executor task, which shares participants with
-    // parked workers. Every lane's output region is disjoint, so the
+    // thread in ascending order. Every lane's output region is
+    // disjoint and no value depends on the thread's scratch, so the
     // partition affects scheduling only, never values.
-    TaskExecutor::shared().run(blocks_.size(), threads,
-                               [this, threads](std::size_t b) {
-                                   runBlock(blocks_[b],
-                                            workers_[b % threads]);
-                               });
+    TaskExecutor::shared().run(
+        blocks_.size(), std::min(options_.threads, blocks_.size()),
+        [this](std::size_t b) { runBlock(blocks_[b]); });
 }
 
 const double *
@@ -166,8 +164,14 @@ ForecastPool::forecast(std::size_t fn) const
 }
 
 void
-ForecastPool::runBlock(const Block &block, WorkerScratch &scratch)
+ForecastPool::runBlock(const Block &block)
 {
+    // One scratch per thread, shared by every pool that thread runs
+    // blocks for, whatever their configs: a block runs to completion
+    // on its thread, and no value it computes depends on what an
+    // earlier block left in the buffers (each is written before it is
+    // read), so of what carries over only the capacity matters.
+    thread_local BlockBuffers scratch;
     const std::size_t w = cfg_.window;
     const std::size_t n = block.n;
     const LengthCache &cache = lengths_[n];

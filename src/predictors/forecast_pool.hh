@@ -1,6 +1,18 @@
 /**
  * @file
- * Batched structure-of-arrays forecasting engine for the FIP.
+ * IceBreaker's Fourier-based function-invocation predictor (FIP),
+ * batched over functions in structure-of-arrays form.
+ *
+ * Over a local window (two hours = 120 one-minute intervals by
+ * default) the FIP: (1) fits a second-order polynomial trend
+ * a*t^2 + b*t + c, (2) detrends the window, (3) takes an FFT of the
+ * residual, (4) keeps the top-n harmonics (n = 10), refined off the
+ * bin grid and least-squares fitted, and (5) forecasts
+ *
+ *   f(t_k + 1) = a(t_k+1)^2 + b(t_k+1) + c
+ *              + sum_i A_i * cos(2*pi*f_i*(t_k+1) + theta_i)
+ *
+ * as Sec. 3.1 of the paper describes.
  *
  * A ForecastPool holds one FftPredictorConfig and the invocation
  * history of every registered function as contiguous per-lane ring
@@ -10,7 +22,8 @@
  * membership depends only on the lanes' histories, blocks go to
  * participants by a fixed interleaving, and every lane's arithmetic
  * is lane-local, so results are byte-identical for any --threads
- * value.
+ * value. The kernels are the repository's only FIP implementation;
+ * FftPredictor is a one-function pool.
  *
  * Every lane holding at least min_samples samples is fitted by
  * kernels::forecastBlock at n = its sample count, warm-up included:
@@ -23,14 +36,19 @@
  * samples) forecast zeros without entering a block, and lanes below
  * min_samples forecast their window mean.
  *
- * Equivalence contract (enforced by tests): every forecast reproduces
- * FftPredictor::forecastHorizon bit for bit, because each kernel
- * stage replays the scalar operation sequence.
+ * Equivalence contract (enforced by tests): every forecast equals,
+ * bit for bit, math's scalar stages composed over the lane's window,
+ * oldest sample first -- polyfitSeries, detrendInto,
+ * FftPlan::forwardReal, the bin magnitudes, decomposeFromMagnitudes
+ * and the trend-plus-harmonics evaluation, each step clamped at 0 --
+ * because each kernel stage replays that operation sequence. The
+ * tests hold the pool to this stage reference, not to itself.
  *
  * Steady-state forecasting performs no heap allocations; the pool
  * allocates only when functions are added, a lane reaches a sample
  * count it has not fitted before, an interval packs more blocks than
- * any before it, or a longer horizon is first requested.
+ * any before it, or a longer horizon or window is first requested
+ * (block scratch is per thread, shared by every pool).
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_POOL_HH
@@ -40,11 +58,26 @@
 #include <memory>
 #include <vector>
 
-#include "predictors/fft_predictor.hh"
 #include "predictors/forecast_kernels.hh"
 
 namespace iceb::predictors
 {
+
+/**
+ * FIP tuning knobs. The paper uses a one-hour local window and
+ * reports < 2% sensitivity for any window below ten hours; the
+ * default here is two hours, which resolves periods up to ~an hour
+ * (two full cycles in the window).
+ */
+struct FftPredictorConfig
+{
+    std::size_t window = 120;       //!< local window (intervals)
+    std::size_t harmonics = 10;     //!< top-n components kept
+    std::size_t poly_degree = 2;    //!< trend model order
+    std::size_t min_samples = 8;    //!< below this, predict the mean
+
+    bool operator==(const FftPredictorConfig &) const = default;
+};
 
 /** Pool-wide knobs (the FIP's own ride in FftPredictorConfig). */
 struct ForecastPoolOptions
@@ -73,7 +106,10 @@ class ForecastPool
      */
     std::size_t addFunction(const FftPredictorConfig &config);
 
-    /** Append one interval's observation (FftPredictor::observe). */
+    /**
+     * Append one interval's observation, clamped at 0; a full window
+     * drops its oldest sample.
+     */
     void observe(std::size_t fn, double concurrency);
 
     /**
@@ -98,13 +134,6 @@ class ForecastPool
         math::FactoredSystem trend_system;
     };
 
-    /** Per-worker scratch: block buffers + the SoA horizon output. */
-    struct WorkerScratch
-    {
-        kernels::BlockScratch block;
-        std::vector<double> horizon_tmp;
-    };
-
     /** Up to kLanes lanes that one kernel pass fits at length n. */
     struct Block
     {
@@ -115,7 +144,7 @@ class ForecastPool
 
     /** Build the kernel tables for fits of length @p n. */
     void ensureLengthCache(std::size_t n);
-    void runBlock(const Block &block, WorkerScratch &scratch);
+    void runBlock(const Block &block);
 
     ForecastPoolOptions options_;
     FftPredictorConfig cfg_;
@@ -136,7 +165,6 @@ class ForecastPool
     std::size_t horizon_ = 0;
     /** Lane-major results: forecasts_[lane * horizon_ + step]. */
     std::vector<double> forecasts_;
-    std::vector<WorkerScratch> workers_;
 };
 
 } // namespace iceb::predictors

@@ -24,7 +24,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "predictors/fft_predictor.hh"
+#include "predictors/forecast_pool.hh"
 
 namespace seed
 {

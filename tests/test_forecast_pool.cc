@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for the batched SoA forecasting engine: the ForecastPool and
- * its block kernels against the scalar FftPredictor golden reference.
+ * its block kernels against the FIP composed from math's scalar
+ * stages (stage_reference.hh).
  *
  * The central contract is bitwise: every forecast value the pool
- * produces must match FftPredictor::forecastHorizon bit for bit,
- * across power-of-two, Bluestein and odd window lengths, during
+ * produces must match the stage reference bit for bit, across
+ * power-of-two, Bluestein and odd window lengths up to 720, during
  * warm-up (kernels at n = sample count) and steady state, on
  * generated trace histories whose windows fall silent and wake, for
- * any thread count. The kernels' lane-batched harmonic fit is pinned
- * to math::decomposeFromMagnitudes lane by lane.
+ * any thread count, and with pools of other configs sharing the
+ * thread's block scratch. The kernels' lane-batched harmonic fit is
+ * pinned to math::decomposeFromMagnitudes lane by lane.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +25,9 @@
 #include "common/executor.hh"
 #include "math/fft.hh"
 #include "math/harmonics.hh"
-#include "predictors/fft_predictor.hh"
 #include "predictors/forecast_kernels.hh"
 #include "predictors/forecast_pool.hh"
+#include "stage_reference.hh"
 #include "trace/synthetic.hh"
 
 namespace
@@ -64,21 +66,63 @@ signalAt(std::size_t fn, std::size_t t)
 
 void
 expectHorizonBitsEqual(const double *pool_out,
-                       const std::vector<double> &scalar_out,
+                       const std::vector<double> &reference,
                        std::size_t fn, std::size_t t)
 {
-    for (std::size_t step = 0; step < scalar_out.size(); ++step) {
-        ASSERT_EQ(bits(pool_out[step]), bits(scalar_out[step]))
+    for (std::size_t step = 0; step < reference.size(); ++step) {
+        ASSERT_EQ(bits(pool_out[step]), bits(reference[step]))
             << "fn=" << fn << " t=" << t << " step=" << step
             << " pool=" << pool_out[step]
-            << " scalar=" << scalar_out[step];
+            << " reference=" << reference[step];
     }
 }
 
 /**
+ * A pool of `functions` functions with the given config, rolled over
+ * signalAt one round at a time alongside one stage reference per
+ * function.
+ */
+class ReferencedPool
+{
+  public:
+    ReferencedPool(const FftPredictorConfig &config, std::size_t functions,
+                   std::size_t threads = 1)
+        : pool_(ForecastPoolOptions{threads})
+    {
+        for (std::size_t fn = 0; fn < functions; ++fn) {
+            EXPECT_EQ(pool_.addFunction(config), fn);
+            reference_.emplace_back(config);
+        }
+    }
+
+    /**
+     * Observe round @p t and forecast @p horizon steps, asserting
+     * every function's forecast equals its reference bit for bit.
+     */
+    void roll(std::size_t t, std::size_t horizon)
+    {
+        for (std::size_t fn = 0; fn < reference_.size(); ++fn) {
+            const double v = signalAt(fn, t);
+            pool_.observe(fn, v);
+            reference_[fn].observe(v);
+        }
+        pool_.forecastAll(horizon);
+        for (std::size_t fn = 0; fn < reference_.size(); ++fn) {
+            reference_[fn].forecastHorizon(horizon, golden_);
+            expectHorizonBitsEqual(pool_.forecast(fn), golden_, fn, t);
+        }
+    }
+
+  private:
+    ForecastPool pool_;
+    std::vector<stage::Reference> reference_;
+    std::vector<double> golden_;
+};
+
+/**
  * Roll `intervals` observation/forecast rounds over `functions`
  * functions with the given config, asserting the pool matches the
- * scalar predictor bit for bit at every round (including warm-up,
+ * stage reference bit for bit at every round (including warm-up,
  * where lanes are fitted at n = their sample count).
  */
 void
@@ -86,28 +130,11 @@ rollAndCompare(const FftPredictorConfig &config, std::size_t functions,
                std::size_t intervals, std::size_t horizon,
                std::size_t threads = 1)
 {
-    ForecastPoolOptions opts;
-    opts.threads = threads;
-    ForecastPool pool(opts);
-    std::vector<FftPredictor> scalar;
-    scalar.reserve(functions);
-    for (std::size_t fn = 0; fn < functions; ++fn) {
-        EXPECT_EQ(pool.addFunction(config), fn);
-        scalar.emplace_back(config);
-    }
-
-    std::vector<double> golden;
+    ReferencedPool pool(config, functions, threads);
     for (std::size_t t = 0; t < intervals; ++t) {
-        for (std::size_t fn = 0; fn < functions; ++fn) {
-            const double v = signalAt(fn, t);
-            pool.observe(fn, v);
-            scalar[fn].observe(v);
-        }
-        pool.forecastAll(horizon);
-        for (std::size_t fn = 0; fn < functions; ++fn) {
-            scalar[fn].forecastHorizon(horizon, golden);
-            expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
-        }
+        pool.roll(t, horizon);
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
 }
 
@@ -140,6 +167,43 @@ TEST(ForecastPoolTest, BitIdenticalOddWindows)
         FftPredictorConfig config;
         config.window = window;
         rollAndCompare(config, 4, 2 * window + 3, 7);
+    }
+}
+
+TEST(ForecastPoolTest, BitIdenticalLongWindows)
+{
+    // The windows fig10 runs (240, 480) and longer: warm-up fits every
+    // length up to 720, and refined peaks sit closer together than a
+    // window of 128 allows.
+    for (const std::size_t window : {240u, 480u, 720u}) {
+        FftPredictorConfig config;
+        config.window = window;
+        rollAndCompare(config, 3, window + window / 4 + 3, 11);
+        ASSERT_FALSE(HasFatalFailure()) << "window=" << window;
+    }
+}
+
+TEST(ForecastPoolTest, PoolsOfOtherConfigsShareThreadScratch)
+{
+    // Pools of three configs forecast in turn on this thread, so each
+    // block starts from block scratch that the previous pool's blocks
+    // sized and filled for another window, harmonic count or trend
+    // degree. No forecast may depend on it.
+    FftPredictorConfig short_few;
+    short_few.window = 60;
+    short_few.harmonics = 3;
+    FftPredictorConfig linear;
+    linear.window = 30;
+    linear.poly_degree = 1;
+    std::vector<ReferencedPool> pools;
+    pools.emplace_back(short_few, kernels::kLanes + 3);
+    pools.emplace_back(FftPredictorConfig{}, kernels::kLanes + 5);
+    pools.emplace_back(linear, 5);
+    for (std::size_t t = 0; t < 150; ++t) {
+        for (ReferencedPool &pool : pools) {
+            pool.roll(t, 11);
+            ASSERT_FALSE(HasFatalFailure()) << "t=" << t;
+        }
     }
 }
 
@@ -284,28 +348,28 @@ TEST(ForecastPoolTest, StaggeredArrivalsMatchScalarAtAnyWidth)
         ForecastPoolOptions opts;
         opts.threads = threads;
         ForecastPool pool(opts);
-        std::vector<FftPredictor> scalar;
-        scalar.reserve(functions);
+        std::vector<stage::Reference> reference;
         std::vector<double> golden;
         for (std::size_t t = 0; t <= last_arrival + config.window + 5;
              ++t) {
             for (std::size_t k = 0;
-                 k < 2 && t % 3 == 0 && scalar.size() < functions; ++k) {
-                EXPECT_EQ(pool.addFunction(config), scalar.size());
-                scalar.emplace_back(config);
+                 k < 2 && t % 3 == 0 && reference.size() < functions;
+                 ++k) {
+                EXPECT_EQ(pool.addFunction(config), reference.size());
+                reference.emplace_back(config);
             }
-            for (std::size_t fn = 0; fn < scalar.size(); ++fn) {
+            for (std::size_t fn = 0; fn < reference.size(); ++fn) {
                 const double v = signalAt(fn, t);
                 pool.observe(fn, v);
-                scalar[fn].observe(v);
+                reference[fn].observe(v);
             }
             pool.forecastAll(horizon);
-            for (std::size_t fn = 0; fn < scalar.size(); ++fn) {
-                scalar[fn].forecastHorizon(horizon, golden);
+            for (std::size_t fn = 0; fn < reference.size(); ++fn) {
+                reference[fn].forecastHorizon(horizon, golden);
                 expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
             }
         }
-        EXPECT_EQ(scalar.size(), functions);
+        EXPECT_EQ(reference.size(), functions);
     }
 }
 
@@ -318,7 +382,7 @@ struct RollCoverage
 
 /**
  * Roll every history of @p trace through pools of forecast width 1
- * and 4 and through one FftPredictor per function, asserting
+ * and 4 and through one stage reference per function, asserting
  * bit-identical horizons from both pools at every interval.
  */
 RollCoverage
@@ -333,12 +397,11 @@ rollTraceAndCompare(const trace::Trace &trace)
         opts.threads = threads;
         pools.emplace_back(opts);
     }
-    std::vector<FftPredictor> scalar;
-    scalar.reserve(functions);
+    std::vector<stage::Reference> reference;
     for (std::size_t fn = 0; fn < functions; ++fn) {
         for (ForecastPool &pool : pools)
             pool.addFunction(config);
-        scalar.emplace_back(config);
+        reference.emplace_back(config);
     }
 
     // Interval of each function's last non-zero sample, to tell which
@@ -354,7 +417,7 @@ rollTraceAndCompare(const trace::Trace &trace)
             const double v = trace.functions()[fn].concurrency[t];
             for (ForecastPool &pool : pools)
                 pool.observe(fn, v);
-            scalar[fn].observe(v);
+            reference[fn].observe(v);
             if (v != 0.0)
                 last_active[fn] = t;
             const bool silent = last_active[fn] == kNever ||
@@ -368,7 +431,7 @@ rollTraceAndCompare(const trace::Trace &trace)
         for (ForecastPool &pool : pools)
             pool.forecastAll(horizon);
         for (std::size_t fn = 0; fn < functions; ++fn) {
-            scalar[fn].forecastHorizon(horizon, golden);
+            reference[fn].forecastHorizon(horizon, golden);
             for (const ForecastPool &pool : pools) {
                 expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
                 if (::testing::Test::HasFatalFailure())
@@ -459,7 +522,7 @@ struct FitLane
     std::vector<double> magnitude; //!< bins 0..n/2, DC ignored
 };
 
-/** Bin magnitudes of @p series, as FftPredictor computes them. */
+/** Bin magnitudes of @p series, as the stage reference computes them. */
 std::vector<double>
 magnitudesOf(const std::vector<double> &series)
 {

@@ -261,9 +261,13 @@ TEST(HarmonicFitTest, ClosedFormMatchesDirectSummation)
     const std::size_t horizon = 11;
     for (const std::size_t n : {8u, 9u, 12u, 60u, 64u, 120u, 128u}) {
         const std::vector<double> series = mixedWindow(n);
+        const std::vector<Complex> spectrum = fftReal(series);
         HarmonicsWorkspace ws;
+        ws.magnitude.assign(n / 2 + 1, 0.0);
+        for (std::size_t b = 1; b <= n / 2; ++b)
+            ws.magnitude[b] = std::abs(spectrum[b]);
         std::vector<Harmonic> fit;
-        decomposeForExtrapolation(series.data(), n, 10, fit, ws);
+        decomposeFromMagnitudes(series.data(), n, 10, fit, ws);
         ASSERT_FALSE(fit.empty()) << "n=" << n;
         bool singular = true;
         const std::vector<Harmonic> ref =

@@ -9,18 +9,18 @@
 #include <algorithm>
 #include <cmath>
 
-#include "math/harmonics.hh"
-#include "math/polyfit.hh"
-#include "math/stats.hh"
-#include "math/harmonics.hh"
-#include "math/polyfit.hh"
-#include "math/stats.hh"
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include "predictors/arima.hh"
 #include "predictors/fft_predictor.hh"
 #include "predictors/hybrid_histogram.hh"
 #include "predictors/lstm.hh"
 #include "predictors/prediction_tracker.hh"
 #include "seed_predictor.hh"
+#include "stage_reference.hh"
+#include "trace/synthetic.hh"
 
 namespace
 {
@@ -112,14 +112,27 @@ TEST(FftPredictorTest, NeverNegative)
 
 TEST(FftPredictorTest, WindowIsBounded)
 {
+    // Checked through the forecasts: a full window of 1.0 pushes the
+    // earlier 5.0s out, a full window of zeros is silent, reset
+    // empties the window, and an empty predictor forecasts 0.
     FftPredictorConfig config;
     config.window = 32;
     FftPredictor p(config);
     for (int i = 0; i < 100; ++i)
+        p.observe(5.0);
+    for (int i = 0; i < 32; ++i)
         p.observe(1.0);
-    EXPECT_EQ(p.sampleCount(), 32u);
+    EXPECT_NEAR(p.predictNext(), 1.0, 1e-6);
+    for (int i = 0; i < 32; ++i)
+        p.observe(0.0);
+    for (const double v : p.forecastHorizon(4))
+        EXPECT_EQ(v, 0.0);
+    for (int i = 0; i < 100; ++i)
+        p.observe(1.0);
     p.reset();
-    EXPECT_EQ(p.sampleCount(), 0u);
+    EXPECT_EQ(p.predictNext(), 0.0);
+    p.observe(2.0); // one sample, below min_samples: its mean
+    EXPECT_EQ(p.predictNext(), 2.0);
 }
 
 TEST(FftPredictorTest, HorizonFirstElementIsPredictNext)
@@ -158,56 +171,28 @@ TEST(FftPredictorTest, HorizonFollowsPeriodicity)
 
 TEST(FftPredictorTest, RingBufferMatchesEraseWindowReference)
 {
-    // Regression for the ring-buffer window swap: compose the public
-    // vector math APIs over an erase-from-front window (the
-    // pre-ring-buffer predictor, step for step) and demand exactly
-    // equal forecasts at every stream position, including the
+    // The predictor's ring-buffer window against math's stages
+    // composed over an erase-from-front window (stage_reference.hh),
+    // bit for bit at every stream position, including the
     // wrap-around steps after the window first fills.
     FftPredictorConfig config;
     config.window = 24; // small window -> many wrap-arounds
     FftPredictor predictor(config);
-    std::vector<double> window;
+    stage::Reference reference(config);
 
     std::vector<double> actual;
+    std::vector<double> expected;
     for (int t = 0; t < 90; ++t) {
         const double value = std::max(
             0.0, 3.0 + 2.0 * std::cos(2.0 * M_PI * t / 7.0) + 0.05 * t);
-
         predictor.observe(value);
-        if (window.size() == config.window)
-            window.erase(window.begin());
-        window.push_back(std::max(0.0, value));
-
+        reference.observe(value);
         predictor.forecastHorizon(5, actual);
+        reference.forecastHorizon(5, expected);
         ASSERT_EQ(actual.size(), 5u);
-
-        // Reference: the predictor's documented pipeline on the
-        // erase-based window.
-        std::vector<double> expected(5, 0.0);
-        const bool all_zero = std::all_of(
-            window.begin(), window.end(),
-            [](double v) { return v == 0.0; });
-        if (!all_zero && window.size() < config.min_samples) {
-            std::fill(expected.begin(), expected.end(),
-                      std::max(0.0, iceb::math::mean(window)));
-        } else if (!all_zero) {
-            const iceb::math::Polynomial trend =
-                iceb::math::polyfitSeries(window, config.poly_degree);
-            const std::vector<double> residual =
-                iceb::math::detrend(window, trend);
-            const std::vector<iceb::math::Harmonic> harmonics =
-                iceb::math::decomposeForExtrapolation(residual,
-                                                      config.harmonics);
-            for (std::size_t step = 0; step < expected.size(); ++step) {
-                const double at =
-                    static_cast<double>(window.size() + step);
-                expected[step] = std::max(
-                    0.0, trend.evaluate(at) +
-                        iceb::math::evaluateHarmonics(harmonics, at));
-            }
-        }
         for (std::size_t step = 0; step < expected.size(); ++step) {
-            EXPECT_DOUBLE_EQ(actual[step], expected[step])
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[step]),
+                      std::bit_cast<std::uint64_t>(expected[step]))
                 << "t=" << t << " step=" << step;
         }
     }
@@ -247,25 +232,75 @@ TEST(FftPredictorTest, MatchesSeedPredictor)
     ASSERT_EQ(config.window, 120u);
     ASSERT_EQ(config.harmonics, 10u);
     const std::size_t horizon = 11;
-    const auto worstDiff = [&](const auto &signal) {
+    /** Worst |diff| over a stream's horizons, and the forecasts (one
+     * per step) whose horizon differs by more than 1e-9 anywhere. */
+    struct Agreement
+    {
+        double worst = 0.0;
+        std::size_t outliers = 0;
+        std::size_t forecasts = 0;
+    };
+    const auto agreement = [&](std::size_t intervals, const auto &signal) {
         FftPredictor predictor(config);
         seed::Predictor reference(config);
         std::vector<double> actual;
-        double worst = 0.0;
-        for (std::size_t t = 0; t < config.window + 200; ++t) {
+        Agreement a;
+        for (std::size_t t = 0; t < intervals; ++t) {
             predictor.observe(signal(t));
             reference.observe(signal(t));
             predictor.forecastHorizon(horizon, actual);
             const std::vector<double> expected =
                 reference.forecastHorizon(horizon);
+            double worst = 0.0;
             for (std::size_t step = 0; step < horizon; ++step)
                 worst = std::max(worst,
                                  std::fabs(actual[step] - expected[step]));
+            a.worst = std::max(a.worst, worst);
+            a.outliers += worst > 1e-9;
+            ++a.forecasts;
         }
-        return worst;
+        return a;
     };
-    EXPECT_LE(worstDiff(two_tones), 1e-9);
-    EXPECT_LE(worstDiff(twelve_tones), 1e-9);
+    EXPECT_LE(agreement(config.window + 200, two_tones).worst, 1e-9);
+    EXPECT_LE(agreement(config.window + 200, twelve_tones).worst, 1e-9);
+
+    // Generator histories: fig6's generator configuration and the
+    // sparse Azure-shaped preset at trace seed 1 (not the held-out
+    // 1009). Their windows hold up to ten close, leaky peaks, and a
+    // few ill-conditioned fits amplify the roundoff difference: over
+    // 64 x 400 histories of each shape at seeds 1-4 the worst horizon
+    // differed by 1.8e-4 and at most 7 of 25,600 forecasts by more
+    // than 1e-9; on these 16 x 360 the worst reads 6.2e-5 with 3 of
+    // 5,760. A fit that loses or misplaces a harmonic moves most
+    // forecasts far past either bound.
+    const std::size_t functions = 16;
+    const std::size_t intervals = 360;
+    iceb::trace::SyntheticConfig fig6;
+    fig6.num_functions = functions;
+    fig6.num_intervals = intervals;
+    fig6.min_memory_mb = 256;
+    fig6.seed = 1;
+    iceb::trace::SyntheticConfig azure =
+        iceb::trace::azureScaleConfig(functions, intervals);
+    azure.seed = 1;
+    for (const auto &[name, shape] :
+         {std::pair{"fig6", fig6}, std::pair{"azure", azure}}) {
+        const iceb::trace::Trace trace =
+            iceb::trace::SyntheticTraceGenerator(shape).generate();
+        Agreement total;
+        for (const iceb::trace::FunctionSeries &fn : trace.functions()) {
+            const Agreement a = agreement(intervals, [&](std::size_t t) {
+                return static_cast<double>(fn.concurrency[t]);
+            });
+            total.worst = std::max(total.worst, a.worst);
+            total.outliers += a.outliers;
+            total.forecasts += a.forecasts;
+        }
+        EXPECT_LE(total.worst, 1e-3) << name;
+        EXPECT_LE(total.outliers * 1000, total.forecasts)
+            << name << ": " << total.outliers << " of " << total.forecasts
+            << " forecasts beyond 1e-9";
+    }
 }
 
 // ---------------------------------------------------------------- ARIMA
