@@ -7,10 +7,9 @@
  *    operator new of every binary it is linked into, so the counter
  *    sees every allocation in the process. Take deltas around
  *    measurement regions that nothing else runs beside.
- *  - The FNV-1a metrics digest behind bench_sim's and bench_scale's
- *    agreement gates and their fixed `metrics_digest` rows. It hashes
- *    each sample's exact bits, so the committed digests stay
- *    comparable across builds and hosts.
+ *  - The hex form of the metrics digest (harness::digestMetrics)
+ *    behind bench_sim's and bench_scale's agreement gates and their
+ *    fixed `metrics_digest` rows.
  */
 
 #ifndef ICEB_BENCH_BENCH_PROBE_HH
@@ -19,19 +18,11 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/metrics.hh"
-
 namespace bench
 {
 
 /** operator new calls made by this process so far. */
 long long allocationCount();
-
-/**
- * FNV-1a hash of every result field both sim cores report
- * (event_loop is left out: only the live core fills it).
- */
-std::uint64_t hashMetrics(const iceb::sim::SimulationMetrics &m);
 
 /** A digest as the "0x%016llx" text the baseline files record. */
 std::string digestHex(std::uint64_t digest);

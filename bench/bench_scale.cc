@@ -61,6 +61,7 @@
 #include "common/cli.hh"
 #include "core/icebreaker.hh"
 #include "harness/baseline_gate.hh"
+#include "harness/observe.hh"
 #include "policies/openwhisk_policy.hh"
 #include "sim/cluster_config.hh"
 #include "sim/simulator.hh"
@@ -76,7 +77,7 @@ namespace
 
 using namespace iceb;
 using bench::digestHex;
-using bench::hashMetrics;
+using harness::digestMetrics;
 using Clock = std::chrono::steady_clock;
 
 struct BenchConfig
@@ -475,7 +476,7 @@ main(int argc, char **argv)
         policies::OpenWhiskPolicy policy;
         const sim::SimulationMetrics calib = sim::runSimulation(
             source, profiles, cluster, policy, {});
-        digest_streamed = hashMetrics(calib);
+        digest_streamed = digestMetrics(calib);
         invocations = calib.invocations;
         events = calib.event_loop.totalPopped();
         hints = hintsFrom(calib);
@@ -539,7 +540,7 @@ main(int argc, char **argv)
         {
             const sim::SimulationMetrics calib = sim::runSimulation(
                 tr, profiles, cluster, policy, {});
-            digest_materialized = hashMetrics(calib);
+            digest_materialized = digestMetrics(calib);
         }
         materialized_best_ms = bestOfMs(
             [&] {
@@ -580,7 +581,7 @@ main(int argc, char **argv)
         const std::vector<workload::FunctionProfile> profiles =
             sim::matchStreamedProfiles(source, matcher);
         core::IceBreakerPolicy policy;
-        fixed_digest = digestHex(hashMetrics(sim::runSimulation(
+        fixed_digest = digestHex(digestMetrics(sim::runSimulation(
             source, profiles, scaleCluster(kFixedFunctions), policy)));
     }
     std::printf("fixed row (%zux%zu, icebreaker, streamed): digest %s\n",

@@ -75,6 +75,7 @@
 #include "common/units.hh"
 #include "core/icebreaker.hh"
 #include "harness/baseline_gate.hh"
+#include "harness/observe.hh"
 #include "legacy_sim.hh"
 #include "obs/recorder.hh"
 #include "policies/openwhisk_policy.hh"
@@ -85,7 +86,7 @@ namespace
 
 using namespace iceb;
 using bench::digestHex;
-using bench::hashMetrics;
+using harness::digestMetrics;
 using Clock = std::chrono::steady_clock;
 
 struct BenchConfig
@@ -259,7 +260,7 @@ runFixed(const BenchConfig &cfg)
         sim::runSimulation(w.tr, w.profiles, w.cluster, policy);
     FixedRow row;
     row.events = metrics.event_loop.totalPopped();
-    row.metrics_digest = digestHex(hashMetrics(metrics));
+    row.metrics_digest = digestHex(digestMetrics(metrics));
     return row;
 }
 
@@ -459,7 +460,7 @@ main(int argc, char **argv)
     const sim::SimulationMetrics legacy_metrics = runLegacy(w);
     const sim::SimulationMetrics live_metrics = runLive(w);
     const bool agree =
-        hashMetrics(legacy_metrics) == hashMetrics(live_metrics);
+        digestMetrics(legacy_metrics) == digestMetrics(live_metrics);
     const std::uint64_t events = live_metrics.event_loop.totalPopped();
     const std::uint64_t invocations = live_metrics.invocations;
     std::printf("workload: %zu fns x %zu intervals, %llu invocations, "

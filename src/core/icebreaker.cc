@@ -19,6 +19,8 @@ void
 IceBreakerPolicy::initialize(const sim::SimContext &ctx)
 {
     Policy::initialize(ctx);
+    // Provider cap that normalises M_r (AWS Lambda: 10 GB).
+    constexpr MemoryMb kMaxFunctionMemoryMb = 10 * kMbPerGb;
     const std::size_t n = ctx.num_functions;
     functions_.clear();
     functions_.reserve(n);
@@ -34,7 +36,7 @@ IceBreakerPolicy::initialize(const sim::SimContext &ctx)
         state.speedup_raw = profile.interServerSpeedup();
         state.memory_raw = std::min(
             1.0, static_cast<double>(profile.memory_mb) /
-                     static_cast<double>(config_.max_function_memory_mb));
+                     static_cast<double>(kMaxFunctionMemoryMb));
         memory_ratios[fn] = state.memory_raw;
     }
     pdm_ = std::make_unique<Pdm>(n, config_.pdm);
@@ -131,8 +133,12 @@ IceBreakerPolicy::onIntervalStart(IntervalIndex interval,
         std::size_t count = biased <= 0.0
             ? 0
             : static_cast<std::size_t>(std::ceil(biased));
+        // Safety cap on predicted concurrency, as a multiple of the
+        // largest concurrency ever observed for the function (guards
+        // against runaway quadratic extrapolation).
+        constexpr double kConcurrencyCapFactor = 2.0;
         const auto cap = static_cast<std::size_t>(
-            config_.concurrency_cap_factor *
+            kConcurrencyCapFactor *
                 static_cast<double>(std::max<std::uint32_t>(
                     1, state.max_observed)) +
             1.0);

@@ -40,19 +40,6 @@ struct IceBreakerConfig
     predictors::FftPredictorConfig fip;
     PdmConfig pdm;
 
-    /** Provider cap that normalises M_r (AWS Lambda: 10 GB). */
-    MemoryMb max_function_memory_mb = 10 * kMbPerGb;
-
-    /** Measured FIP+PDM latency charged to every invocation. */
-    TimeMs overhead_ms = 30;
-
-    /**
-     * Safety cap on predicted concurrency, as a multiple of the
-     * largest concurrency ever observed for the function (guards
-     * against runaway quadratic extrapolation).
-     */
-    double concurrency_cap_factor = 2.0;
-
     /**
      * Instance-count rounding bias: warm ceil(prediction - deadband)
      * instances. A conservative (upward) bias trades a little
@@ -104,7 +91,9 @@ class IceBreakerPolicy : public sim::Policy
     double evictionPriority(FunctionId fn, Tier tier, TimeMs last_used,
                             TimeMs now) override;
     void onWarmupWasted(FunctionId fn, Tier tier, TimeMs now) override;
-    TimeMs overheadMs() const override { return config_.overhead_ms; }
+    /** Measured FIP+PDM latency charged to every invocation. */
+    static constexpr TimeMs kOverheadMs = 30;
+    TimeMs overheadMs() const override { return kOverheadMs; }
 
     /** The PDM (exposed for tests and the ablation benches). */
     const Pdm &pdm() const { return *pdm_; }

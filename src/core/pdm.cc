@@ -8,13 +8,16 @@
 namespace iceb::core
 {
 
+/** Base cut-offs H_E and L_E. */
+constexpr double kHighCutoff = 2.0 / 3.0;
+constexpr double kLowCutoff = 1.0 / 3.0;
+static_assert(kLowCutoff < kHighCutoff, "cut-offs inverted");
+
 Pdm::Pdm(std::size_t num_functions, PdmConfig config)
     : config_(config), functions_(num_functions),
-      memory_ratios_(num_functions, 0.0),
-      high_cutoff_(config.high_cutoff), low_cutoff_(config.low_cutoff)
+      memory_ratios_(num_functions, 0.0), high_cutoff_(kHighCutoff),
+      low_cutoff_(kLowCutoff)
 {
-    ICEB_ASSERT(config_.low_cutoff < config_.high_cutoff,
-                "cut-offs inverted");
     ICEB_ASSERT(config_.window >= 1, "window must be positive");
 }
 
@@ -30,10 +33,12 @@ void
 Pdm::updateCutoffs(double vacant_high_frac, double vacant_low_frac)
 {
     if (!config_.enable_dynamic_cutoffs) {
-        high_cutoff_ = config_.high_cutoff;
-        low_cutoff_ = config_.low_cutoff;
+        high_cutoff_ = kHighCutoff;
+        low_cutoff_ = kLowCutoff;
         return;
     }
+    // Gain of the occupancy-proportional cut-off adjustment.
+    constexpr double kVacancyGain = 0.75;
     // Each cut-off scales in proportion to its tier's occupancy
     // (paper: "changed in proportion to the fraction of vacant
     // memory"). A vacant high-end tier pulls H_E down so more
@@ -41,13 +46,11 @@ Pdm::updateCutoffs(double vacant_high_frac, double vacant_low_frac)
     // returns to its selective base value -- and symmetrically for
     // the low-end tier.
     high_cutoff_ = std::clamp(
-        config_.high_cutoff * (1.0 - config_.vacancy_gain *
-                                         vacant_high_frac),
-        0.15, 0.95);
+        kHighCutoff * (1.0 - kVacancyGain * vacant_high_frac), 0.15,
+        0.95);
     low_cutoff_ = std::clamp(
-        config_.low_cutoff * (1.0 - config_.vacancy_gain *
-                                        vacant_low_frac),
-        0.02, high_cutoff_ - 0.02);
+        kLowCutoff * (1.0 - kVacancyGain * vacant_low_frac), 0.02,
+        high_cutoff_ - 0.02);
 }
 
 WarmTarget
@@ -68,13 +71,15 @@ Pdm::rollWindow(IntervalIndex interval)
         return;
     }
     window_start_ = interval;
+    // M_r above which the large-memory safeguard applies.
+    constexpr double kLargeMemoryThreshold = 0.5;
     for (std::size_t fn = 0; fn < functions_.size(); ++fn) {
         FunctionState &state = functions_[fn];
         // Large-memory safeguard: big functions that only saw
         // low-end warm-ups last window get high-end next window.
         state.force_high_next_window =
             config_.enable_large_memory_guard &&
-            memory_ratios_[fn] >= config_.large_memory_threshold &&
+            memory_ratios_[fn] >= kLargeMemoryThreshold &&
             state.warmed_low_this_window &&
             !state.warmed_high_this_window;
         state.warmed_high_this_window = false;
@@ -96,7 +101,9 @@ Pdm::decide(IntervalIndex interval, const UtilityScore &score)
     if (state.force_high_next_window && target != WarmTarget::None)
         target = WarmTarget::HighEnd;
 
-    // Ping-pong safeguard: only guard High <-> Low flips.
+    // Ping-pong safeguard: only guard High <-> Low flips, and freeze
+    // the tier while S_u moved by no more than this fraction.
+    constexpr double kPingPongThreshold = 0.10;
     const bool is_flip =
         (state.last_target == WarmTarget::HighEnd &&
          target == WarmTarget::LowEnd) ||
@@ -107,7 +114,7 @@ Pdm::decide(IntervalIndex interval, const UtilityScore &score)
         const double base = std::max(state.anchor_score, 1e-9);
         const double change =
             std::fabs(score.score - state.anchor_score) / base;
-        if (change <= config_.ping_pong_threshold)
+        if (change <= kPingPongThreshold)
             target = state.last_target;
     }
 

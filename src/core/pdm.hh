@@ -38,19 +38,14 @@ enum class WarmTarget : std::uint8_t
     HighEnd,
 };
 
-/** PDM tuning (paper defaults). */
+/**
+ * PDM tuning (paper defaults; the cut-offs, gains and thresholds are
+ * constants in pdm.cc).
+ */
 struct PdmConfig
 {
-    double high_cutoff = 2.0 / 3.0;
-    double low_cutoff = 1.0 / 3.0;
-    /** Gain of the occupancy-proportional cut-off adjustment. */
-    double vacancy_gain = 0.75;
-    /** Relative S_u change below which the tier is frozen. */
-    double ping_pong_threshold = 0.10;
     /** Local window (intervals) for both safeguards. */
     std::size_t window = 60;
-    /** M_r above which the large-memory safeguard applies. */
-    double large_memory_threshold = 0.5;
     bool enable_dynamic_cutoffs = true;
     bool enable_ping_pong_guard = true;
     bool enable_large_memory_guard = true;

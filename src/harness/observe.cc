@@ -1,5 +1,6 @@
 #include "harness/observe.hh"
 
+#include <bit>
 #include <fstream>
 
 #include "common/logging.hh"
@@ -43,41 +44,44 @@ digestClusterConfig(const sim::ClusterConfig &config)
 }
 
 std::uint64_t
-digestMetrics(const sim::SimulationMetrics &m)
+digestMetrics(const sim::SimulationMetrics &m, std::uint64_t state)
 {
-    obs::Digest digest;
+    obs::Digest digest(state);
+    const auto add_bits = [&digest](double v) {
+        digest.addU64(std::bit_cast<std::uint64_t>(v));
+    };
     digest.addU64(m.invocations);
     digest.addU64(m.cold_starts);
     digest.addU64(m.warm_starts);
     digest.addU64(m.cold_no_container);
     digest.addU64(m.cold_all_busy);
     digest.addU64(m.cold_setup_attach);
-    digest.addDouble(m.sum_service_ms);
-    digest.addDouble(m.sum_wait_ms);
-    digest.addDouble(m.sum_cold_ms);
-    digest.addDouble(m.sum_exec_ms);
-    digest.addDouble(m.sum_overhead_ms);
+    add_bits(m.sum_service_ms);
+    add_bits(m.sum_wait_ms);
+    add_bits(m.sum_cold_ms);
+    add_bits(m.sum_exec_ms);
+    add_bits(m.sum_overhead_ms);
     for (const auto *samples :
          {&m.service_times_ms, &m.service_times_high_ms,
           &m.service_times_low_ms}) {
         digest.addU64(samples->size());
         for (float sample : *samples)
-            digest.addDouble(static_cast<double>(sample));
+            digest.addU64(std::bit_cast<std::uint32_t>(sample));
     }
     for (const sim::FunctionMetrics &fm : m.per_function) {
         digest.addU64(fm.invocations);
         digest.addU64(fm.cold_starts);
         digest.addU64(fm.warm_starts);
-        digest.addDouble(fm.sum_service_ms);
-        digest.addDouble(fm.sum_wait_ms);
-        digest.addDouble(fm.sum_cold_ms);
-        digest.addDouble(fm.sum_exec_ms);
-        digest.addDouble(fm.keep_alive_cost);
+        add_bits(fm.sum_service_ms);
+        add_bits(fm.sum_wait_ms);
+        add_bits(fm.sum_cold_ms);
+        add_bits(fm.sum_exec_ms);
+        add_bits(fm.keep_alive_cost);
     }
     for (std::size_t t = 0; t < kNumTiers; ++t) {
-        digest.addDouble(m.keep_alive[t].successful_cost);
-        digest.addDouble(m.keep_alive[t].wasteful_cost);
-        digest.addDouble(m.keep_alive[t].wasted_mb_ms);
+        add_bits(m.keep_alive[t].successful_cost);
+        add_bits(m.keep_alive[t].wasteful_cost);
+        add_bits(m.keep_alive[t].wasted_mb_ms);
     }
     return digest.value();
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "harness/runner.hh"
+#include "obs/manifest.hh"
 #include "obs/recorder.hh"
 
 namespace iceb::harness
@@ -61,8 +62,13 @@ std::string runDisplayName(const RunSpec &spec);
 /** FNV-1a digest over a cluster composition. */
 std::uint64_t digestClusterConfig(const sim::ClusterConfig &config);
 
-/** FNV-1a digest over every figure-visible metrics field. */
-std::uint64_t digestMetrics(const sim::SimulationMetrics &metrics);
+/**
+ * FNV-1a digest over every metrics field but event_loop, each by its
+ * exact bits (float samples by their 32-bit pattern), continuing from
+ * @p state.
+ */
+std::uint64_t digestMetrics(const sim::SimulationMetrics &metrics,
+                            std::uint64_t state = obs::Digest::kOffsetBasis);
 
 /**
  * Write the requested trace / probe / manifest files for a completed

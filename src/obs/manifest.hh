@@ -29,6 +29,11 @@ namespace iceb::obs
 class Digest
 {
   public:
+    static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
+
+    /** Continue from @p state (by default a fresh digest). */
+    explicit Digest(std::uint64_t state = kOffsetBasis) : state_(state) {}
+
     Digest &addU64(std::uint64_t v)
     {
         for (int i = 0; i < 8; ++i) {
@@ -66,7 +71,7 @@ class Digest
         state_ *= 0x100000001b3ull;
     }
 
-    std::uint64_t state_ = 0xcbf29ce484222325ull;
+    std::uint64_t state_;
 };
 
 /** @return @p v as a fixed-width 16-digit lowercase hex string. */

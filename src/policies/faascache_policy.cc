@@ -7,11 +7,6 @@
 namespace iceb::policies
 {
 
-FaasCachePolicy::FaasCachePolicy(FaasCacheConfig config)
-    : config_(config)
-{
-}
-
 void
 FaasCachePolicy::initialize(const sim::SimContext &ctx)
 {
@@ -39,8 +34,10 @@ FaasCachePolicy::keepAliveAfterExecutionMs(FunctionId fn, Tier tier,
     (void)tier;
     (void)now;
     // "Keep everything" -- greedy-dual eviction is the real policy;
-    // the cap only bounds abandoned tails.
-    return config_.max_keep_alive_ms;
+    // this cap on how long an un-evicted container stays warm only
+    // bounds abandoned tails.
+    constexpr TimeMs kMaxKeepAliveMs = 1 * kMsPerHour;
+    return kMaxKeepAliveMs;
 }
 
 double

@@ -24,22 +24,12 @@
 namespace iceb::policies
 {
 
-/** FaasCache configuration. */
-struct FaasCacheConfig
-{
-    /** Cap on how long an un-evicted container may stay warm. */
-    TimeMs max_keep_alive_ms = 1 * kMsPerHour;
-    TimeMs overhead_ms = 12; //!< paper: competing schemes 10-20 ms
-};
-
 /**
  * Greedy-dual keep-alive policy.
  */
 class FaasCachePolicy : public sim::Policy
 {
   public:
-    explicit FaasCachePolicy(FaasCacheConfig config = {});
-
     const char *name() const override { return "faascache"; }
 
     void initialize(const sim::SimContext &ctx) override;
@@ -50,7 +40,9 @@ class FaasCachePolicy : public sim::Policy
     double evictionPriority(FunctionId fn, Tier tier, TimeMs last_used,
                             TimeMs now) override;
     void onEviction(FunctionId fn, Tier tier, TimeMs now) override;
-    TimeMs overheadMs() const override { return config_.overhead_ms; }
+    /** Decision latency; paper: competing schemes 10-20 ms. */
+    static constexpr TimeMs kOverheadMs = 12;
+    TimeMs overheadMs() const override { return kOverheadMs; }
 
     /** Current greedy-dual clock (exposed for tests). */
     double clock() const { return clock_; }
@@ -58,7 +50,6 @@ class FaasCachePolicy : public sim::Policy
   private:
     double priorityOf(FunctionId fn, Tier tier) const;
 
-    FaasCacheConfig config_;
     std::vector<std::uint64_t> frequency_;
     double clock_ = 0.0;
 };

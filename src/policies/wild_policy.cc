@@ -9,19 +9,12 @@
 namespace iceb::policies
 {
 
-WildPolicy::WildPolicy(WildConfig config)
-    : config_(config)
-{
-}
-
 void
 WildPolicy::initialize(const sim::SimContext &ctx)
 {
     Policy::initialize(ctx);
     functions_.clear();
-    functions_.reserve(ctx.num_functions);
-    for (std::size_t i = 0; i < ctx.num_functions; ++i)
-        functions_.emplace_back(config_.histogram);
+    functions_.resize(ctx.num_functions);
 }
 
 void
@@ -72,9 +65,11 @@ TimeMs
 WildPolicy::keepAliveAfterExecutionMs(FunctionId fn, Tier tier, TimeMs now)
 {
     (void)tier;
+    // The fixed keep-alive of an unusable forecast.
+    constexpr TimeMs kStandardKeepAliveMs = 10 * kMsPerMinute;
     const FunctionState &state = functions_[fn];
     if (!state.forecast.usable)
-        return config_.standard_keep_alive_ms;
+        return kStandardKeepAliveMs;
 
     // Keep alive through the head of the expected idle window; the
     // interval hook re-warms the function near the predicted arrival.

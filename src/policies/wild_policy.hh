@@ -24,22 +24,12 @@
 namespace iceb::policies
 {
 
-/** Wild policy configuration. */
-struct WildConfig
-{
-    predictors::HybridHistogramConfig histogram;
-    TimeMs standard_keep_alive_ms = 10 * kMsPerMinute;
-    TimeMs overhead_ms = 15; //!< paper: competing schemes 10-20 ms
-};
-
 /**
  * Hybrid-histogram warm-up policy.
  */
 class WildPolicy : public sim::Policy
 {
   public:
-    explicit WildPolicy(WildConfig config = {});
-
     const char *name() const override { return "wild"; }
 
     void initialize(const sim::SimContext &ctx) override;
@@ -49,7 +39,9 @@ class WildPolicy : public sim::Policy
                          sim::WarmupInterface &cluster) override;
     TimeMs keepAliveAfterExecutionMs(FunctionId fn, Tier tier,
                                      TimeMs now) override;
-    TimeMs overheadMs() const override { return config_.overhead_ms; }
+    /** Decision latency; paper: competing schemes 10-20 ms. */
+    static constexpr TimeMs kOverheadMs = 15;
+    TimeMs overheadMs() const override { return kOverheadMs; }
 
   private:
     struct FunctionState
@@ -58,15 +50,8 @@ class WildPolicy : public sim::Policy
         predictors::IdleWindowForecast forecast; //!< for current idle
         IntervalIndex last_arrival = -1;
         std::uint32_t last_concurrency = 0;
-
-        explicit FunctionState(
-            const predictors::HybridHistogramConfig &config)
-            : histogram(config)
-        {
-        }
     };
 
-    WildConfig config_;
     std::vector<FunctionState> functions_;
 };
 

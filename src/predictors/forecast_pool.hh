@@ -16,25 +16,24 @@
  *
  * A ForecastPool holds one FftPredictorConfig and the invocation
  * history of every registered function as contiguous per-lane ring
- * buffers; lane i is function i. forecastAll() forecasts up to kLanes
- * functions per block through the SoA kernels in forecast_kernels.cc,
- * optionally thread-parallel on the shared TaskExecutor: block
- * membership depends only on the lanes' histories, blocks go to
- * participants by a fixed interleaving, and every lane's arithmetic
- * is lane-local, so results are byte-identical for any --threads
- * value. The kernels are the repository's only FIP implementation;
- * FftPredictor is a one-function pool.
+ * buffers; lane i is function i. The lanes advance in lockstep, as
+ * the FIP refits every function once per decision interval: all
+ * functions are registered first, each interval observes lanes
+ * 0..L-1 in order, and forecasts run between intervals. So every lane
+ * shares one ring position, one sample count n and one set of kernel
+ * tables for n (FftPlan, SeriesPowerTable, factored trend system),
+ * rebuilt serially before dispatch while n grows during warm-up.
  *
- * Every lane holding at least min_samples samples is fitted by
- * kernels::forecastBlock at n = its sample count, warm-up included:
- * the pool caches one FftPlan, SeriesPowerTable and factored trend
- * system per length it has seen, built serially before dispatch.
- * Blocks are dense: forecastAll walks the lanes in order and packs
- * each lane it fits into the open block of its sample count, which
- * closes at kLanes lanes, so only a count's last block can be
- * partial. Silent lanes (observe keeps a per-lane count of non-zero
- * samples) forecast zeros without entering a block, and lanes below
- * min_samples forecast their window mean.
+ * Once n reaches min_samples, forecastAll() fits every lane with a
+ * non-zero sample in its window through kernels::forecastBlock, block
+ * b holding fitted lanes 8b to 8b+7, optionally thread-parallel on
+ * the shared TaskExecutor: blocks go to participants by a fixed
+ * interleaving and every lane's arithmetic is lane-local, so results
+ * are byte-identical for any --threads value. Silent lanes (observe
+ * keeps a per-lane count of non-zero samples) forecast zeros, and
+ * below min_samples lanes forecast their window mean. The kernels are
+ * the repository's only FIP implementation; FftPredictor is a
+ * one-function pool.
  *
  * Equivalence contract (enforced by tests): every forecast equals,
  * bit for bit, math's scalar stages composed over the lane's window,
@@ -45,10 +44,10 @@
  * tests hold the pool to this stage reference, not to itself.
  *
  * Steady-state forecasting performs no heap allocations; the pool
- * allocates only when functions are added, a lane reaches a sample
- * count it has not fitted before, an interval packs more blocks than
- * any before it, or a longer horizon or window is first requested
- * (block scratch is per thread, shared by every pool).
+ * allocates only when functions are added, on its first forecastAll,
+ * while its sample count grows during warm-up, or when a longer
+ * horizon or window is first requested (block scratch is per thread,
+ * shared by every pool).
  */
 
 #ifndef ICEB_PREDICTORS_FORECAST_POOL_HH
@@ -100,67 +99,63 @@ class ForecastPool
     explicit ForecastPool(ForecastPoolOptions options = {});
 
     /**
-     * Register a function; returns its id. The first call fixes the
+     * Register a function; returns its id. Allowed only before the
+     * first observe() or forecastAll(). The first call fixes the
      * pool's config, whose min_samples must be at least 8, the
      * kernels' shortest fit; every later call must pass the same one.
      */
     std::size_t addFunction(const FftPredictorConfig &config);
 
     /**
-     * Append one interval's observation, clamped at 0; a full window
-     * drops its oldest sample.
+     * Append one interval's observation of @p fn, clamped at 0; a full
+     * window drops its oldest sample. Each interval observes lanes
+     * 0..L-1 in order, once each.
      */
     void observe(std::size_t fn, double concurrency);
 
     /**
-     * Forecast the next @p horizon intervals for every function.
-     * Results are read back per function via forecast().
+     * Forecast the next @p horizon intervals for every function, only
+     * between intervals. Results are read back via forecast().
      */
     void forecastAll(std::size_t horizon);
 
     /**
      * The @p horizon values of @p fn from the last forecastAll
-     * (element 0 is the next interval's prediction). @p fn must have
-     * been registered before that call.
+     * (element 0 is the next interval's prediction).
      */
     const double *forecast(std::size_t fn) const;
 
   private:
-    /** Kernel tables for fitting windows of one length n. */
+    /** Kernel tables for fitting windows of length n. */
     struct LengthCache
     {
-        std::shared_ptr<const math::FftPlan> plan; //!< null until built
+        std::size_t n = 0; //!< 0 until built
+        std::shared_ptr<const math::FftPlan> plan;
         math::SeriesPowerTable powers;
         math::FactoredSystem trend_system;
     };
 
-    /** Up to kLanes lanes that one kernel pass fits at length n. */
-    struct Block
-    {
-        std::uint32_t n = 0;
-        std::uint32_t size = 0;
-        std::uint32_t lane[kernels::kLanes] = {};
-    };
-
-    /** Build the kernel tables for fits of length @p n. */
-    void ensureLengthCache(std::size_t n);
-    void runBlock(const Block &block);
+    std::size_t lanes() const { return nonzero_.size(); }
+    /** Rebuild cache_ for fits of length count_. */
+    void buildLengthCache();
+    void runBlock(std::size_t block);
 
     ForecastPoolOptions options_;
     FftPredictorConfig cfg_;
     /** Lane-major ring storage: ring_[lane * window + pos]. */
     std::vector<double> ring_;
-    std::vector<std::uint32_t> head_;
-    std::vector<std::uint32_t> count_;
     /** Non-zero samples in each lane's window (0 = silent). */
     std::vector<std::uint32_t> nonzero_;
-    /** Shared kernel tables indexed by sample count (0..window). */
-    std::vector<LengthCache> lengths_;
+    /** Every lane's ring position of its oldest sample once full. */
+    std::uint32_t head_ = 0;
+    /** Samples in every lane's window. */
+    std::uint32_t count_ = 0;
+    /** The lane the next observe() must name. */
+    std::size_t next_lane_ = 0;
+    LengthCache cache_;
 
-    /** The last forecastAll's blocks, in the order lanes filled them. */
-    std::vector<Block> blocks_;
-    /** Per sample count, the index of its open block (or kNoBlock). */
-    std::vector<std::uint32_t> open_block_;
+    /** Lanes the last forecastAll fitted; block b is 8b to 8b+7. */
+    std::vector<std::uint32_t> fitted_;
 
     std::size_t horizon_ = 0;
     /** Lane-major results: forecasts_[lane * horizon_ + step]. */

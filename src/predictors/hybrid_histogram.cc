@@ -13,8 +13,6 @@ HybridHistogram::HybridHistogram(HybridHistogramConfig config)
       arima_(ArimaConfig{2, 1, 1, 64, 1})
 {
     ICEB_ASSERT(config_.max_idle_minutes >= 2, "histogram range too small");
-    ICEB_ASSERT(config_.head_quantile < config_.tail_quantile,
-                "head quantile must precede tail quantile");
 }
 
 void
@@ -39,16 +37,19 @@ HybridHistogram::observeArrival(IntervalIndex interval)
 bool
 HybridHistogram::representative() const
 {
+    // Out-of-bounds tolerance and coefficient-of-variation gate.
+    constexpr double kMaxOobFraction = 0.5;
+    constexpr double kMaxCv = 2.0;
     if (total_samples_ < config_.min_samples)
         return false;
     const double oob = static_cast<double>(oob_samples_) /
         static_cast<double>(total_samples_);
-    if (oob > config_.max_oob_fraction)
+    if (oob > kMaxOobFraction)
         return false;
     const double mu = histogramMean();
     if (mu <= 0.0)
         return false;
-    return histogramStddev() / mu <= config_.max_cv;
+    return histogramStddev() / mu <= kMaxCv;
 }
 
 double
@@ -97,11 +98,16 @@ HybridHistogram::quantileMinutes(double q) const
 IdleWindowForecast
 HybridHistogram::forecast()
 {
+    // Pre-warm margin and keep-alive bound.
+    constexpr double kHeadQuantile = 0.05;
+    constexpr double kTailQuantile = 0.99;
+    static_assert(kHeadQuantile < kTailQuantile,
+                  "head quantile must precede tail quantile");
     IdleWindowForecast out;
     if (representative()) {
-        const double head = quantileMinutes(config_.head_quantile);
-        const double tail = std::max(
-            quantileMinutes(config_.tail_quantile), head + 1.0);
+        const double head = quantileMinutes(kHeadQuantile);
+        const double tail =
+            std::max(quantileMinutes(kTailQuantile), head + 1.0);
         // A window wider than the standard keep-alive would cost more
         // than it saves; treat it as non-representative.
         if (tail - head <= 20.0) {

@@ -24,15 +24,15 @@
 namespace iceb::predictors
 {
 
-/** Hybrid-histogram configuration (defaults follow the ATC'20 paper). */
+/**
+ * Hybrid-histogram configuration (defaults follow the ATC'20 paper;
+ * the quantiles and the other gates are constants in
+ * hybrid_histogram.cc).
+ */
 struct HybridHistogramConfig
 {
     std::size_t max_idle_minutes = 240; //!< histogram range (4 hours)
-    double head_quantile = 0.05;        //!< pre-warm margin
-    double tail_quantile = 0.99;        //!< keep-alive bound
     std::size_t min_samples = 8;        //!< representativeness gate
-    double max_cv = 2.0;                //!< coefficient-of-variation gate
-    double max_oob_fraction = 0.5;      //!< out-of-bounds tolerance
 };
 
 /** What the hybrid scheme recommends for the next idle period. */

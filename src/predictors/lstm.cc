@@ -12,6 +12,10 @@ namespace iceb::predictors
 namespace
 {
 
+/** Hidden/cell width. */
+constexpr std::size_t kHidden = 16;
+static_assert(kHidden >= 2, "LSTM hidden width too small");
+
 inline double
 sigmoid(double x)
 {
@@ -29,7 +33,6 @@ clip(double x, double bound)
 LstmPredictor::LstmPredictor(LstmConfig config)
     : config_(config)
 {
-    ICEB_ASSERT(config_.hidden >= 2, "LSTM hidden width too small");
     ICEB_ASSERT(config_.window >= 4, "LSTM window too small");
     initWeights();
 }
@@ -38,7 +41,7 @@ void
 LstmPredictor::initWeights()
 {
     Rng rng(config_.seed);
-    const std::size_t h = config_.hidden;
+    const std::size_t h = kHidden;
     const std::size_t in = 1 + h; // [x, h_prev]
     const double bound = 1.0 / std::sqrt(static_cast<double>(in));
     auto init_matrix = [&](std::vector<double> &w) {
@@ -91,7 +94,7 @@ double
 LstmPredictor::forward(const std::vector<double> &inputs,
                        std::vector<StepCache> *caches) const
 {
-    const std::size_t h = config_.hidden;
+    const std::size_t h = kHidden;
     const std::size_t in = 1 + h;
     std::vector<double> h_prev(h, 0.0);
     std::vector<double> c_prev(h, 0.0);
@@ -146,7 +149,7 @@ LstmPredictor::forward(const std::vector<double> &inputs,
 void
 LstmPredictor::trainOneEpoch()
 {
-    const std::size_t h = config_.hidden;
+    const std::size_t h = kHidden;
     const std::size_t in = 1 + h;
     const std::size_t steps = window_.size();
     if (steps < 2)
@@ -228,12 +231,12 @@ LstmPredictor::trainOneEpoch()
     }
 
     // Clipped SGD step.
-    const double lr = config_.learning_rate;
-    const double gc = config_.grad_clip;
+    constexpr double kLearningRate = 0.05;
+    constexpr double kGradClip = 1.0;
     auto apply = [&](std::vector<double> &w,
                      const std::vector<double> &g) {
         for (std::size_t k = 0; k < w.size(); ++k)
-            w[k] -= lr * clip(g[k], gc);
+            w[k] -= kLearningRate * clip(g[k], kGradClip);
     };
     apply(w_i_, gw_i);
     apply(w_f_, gw_f);
@@ -244,7 +247,7 @@ LstmPredictor::trainOneEpoch()
     apply(b_o_, gb_o);
     apply(b_g_, gb_g);
     apply(w_y_, gw_y);
-    b_y_ -= lr * clip(gb_y, gc);
+    b_y_ -= kLearningRate * clip(gb_y, kGradClip);
 }
 
 double

@@ -20,14 +20,14 @@
 namespace iceb::predictors
 {
 
-/** LSTM architecture and training configuration. */
+/**
+ * LSTM training configuration (the hidden width, learning rate and
+ * gradient clip are constants in lstm.cc).
+ */
 struct LstmConfig
 {
-    std::size_t hidden = 16;           //!< hidden/cell width
     std::size_t window = 60;           //!< BPTT window (intervals)
     std::size_t epochs_per_observe = 4; //!< online training intensity
-    double learning_rate = 0.05;
-    double grad_clip = 1.0;
     std::uint64_t seed = 0x15D7'0001ull;
 };
 

@@ -1,6 +1,7 @@
 #include "serve/decision_engine.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -144,7 +145,8 @@ DecisionEngine::pushArrival(FunctionId fn, std::uint32_t count)
 {
     // observed_ is empty until initialize(), so one bounds check
     // covers both an unknown id and an uninitialized engine.
-    if (fn >= observed_.size()) {
+    if (fn >= observed_.size() ||
+        count > std::numeric_limits<std::uint32_t>::max() - observed_[fn]) {
         rejected_arrivals_ += count;
         return false;
     }

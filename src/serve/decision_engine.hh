@@ -135,9 +135,10 @@ class DecisionEngine final : public sim::Policy
     /**
      * Record @p count arrivals of @p fn in the open interval. Returns
      * false, records nothing and adds @p count to
-     * rejectedArrivals() when the engine is not initialized or @p fn
-     * is not one of its functions: this is external input, so bad
-     * values are refused rather than treated as a broken invariant.
+     * rejectedArrivals() when the engine is not initialized, @p fn
+     * is not one of its functions, or the interval's count of @p fn
+     * would pass 2^32 - 1: this is external input, so bad values are
+     * refused rather than treated as a broken invariant.
      */
     bool pushArrival(FunctionId fn, std::uint32_t count = 1);
 

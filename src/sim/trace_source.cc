@@ -9,6 +9,31 @@
 namespace iceb::sim
 {
 
+namespace
+{
+
+/**
+ * One active interval's burst as sorted offsets into the interval:
+ * concurrent requests land within a few seconds of each other (they
+ * genuinely need that many instances), at a jittered offset.
+ */
+void
+drawBurst(Rng &rng, std::uint32_t count, TimeMs interval_ms,
+          std::vector<TimeMs> &times)
+{
+    const TimeMs span = std::min<TimeMs>(5000, interval_ms - 1);
+    const TimeMs offset =
+        static_cast<TimeMs>(rng.uniformInt(0, interval_ms - 1 - span));
+    times.clear();
+    for (std::uint32_t i = 0; i < count; ++i) {
+        times.push_back(offset +
+                        static_cast<TimeMs>(rng.uniformInt(0, span)));
+    }
+    std::sort(times.begin(), times.end());
+}
+
+} // namespace
+
 void
 sortArrivalBlockByTime(ArrivalRecord *block, ArrivalRecord *scratch,
                        std::size_t n, TimeMs block_base,
@@ -110,24 +135,10 @@ MaterializedTraceSource::build(std::uint64_t seed)
             const std::uint32_t count = series.concurrency[iv];
             if (count == 0)
                 continue;
-            // An interval's invocations form one burst: concurrent
-            // requests land within a few seconds of each other (so
-            // they genuinely need that many instances), at a jittered
-            // offset inside the interval.
-            const TimeMs base =
-                static_cast<TimeMs>(iv) * interval_ms;
-            const TimeMs span =
-                std::min<TimeMs>(5000, interval_ms - 1);
-            const TimeMs offset = static_cast<TimeMs>(
-                rng.uniformInt(0, interval_ms - 1 - span));
-            times.clear();
-            for (std::uint32_t i = 0; i < count; ++i) {
-                times.push_back(base + offset +
-                                static_cast<TimeMs>(
-                                    rng.uniformInt(0, span)));
-            }
-            std::sort(times.begin(), times.end());
-            schedule.insert(schedule.end(), times.begin(), times.end());
+            drawBurst(rng, count, interval_ms, times);
+            const TimeMs base = static_cast<TimeMs>(iv) * interval_ms;
+            for (const TimeMs t : times)
+                schedule.push_back(base + t);
         }
     }
 
@@ -274,19 +285,7 @@ StreamingWorkloadSource::ingest(trace::FunctionRowSource &rows)
             const std::uint32_t count = row.counts[iv];
             if (count == 0)
                 continue;
-            // Same burst model (and RNG draws) as the materialized
-            // builder: one jittered burst per active interval.
-            const TimeMs span =
-                std::min<TimeMs>(5000, interval_ms_ - 1);
-            const TimeMs offset = static_cast<TimeMs>(
-                rng.uniformInt(0, interval_ms_ - 1 - span));
-            times.clear();
-            for (std::uint32_t i = 0; i < count; ++i) {
-                times.push_back(offset +
-                                static_cast<TimeMs>(
-                                    rng.uniformInt(0, span)));
-            }
-            std::sort(times.begin(), times.end());
+            drawBurst(rng, count, interval_ms_, times);
             for (std::uint32_t i = 0; i < count; ++i) {
                 SpillRecord record;
                 record.interval = static_cast<std::uint32_t>(iv);

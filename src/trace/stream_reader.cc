@@ -1,6 +1,7 @@
 #include "trace/stream_reader.hh"
 
 #include <charconv>
+#include <limits>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -174,6 +175,10 @@ AzureCsvRowStream::next(FunctionRow &row)
             fieldToInt(column, "invocation count");
         if (count < 0)
             failAt(column, "negative invocation count");
+        if (count > std::numeric_limits<std::uint32_t>::max()) {
+            failAt(column, "invocation count " + std::to_string(count) +
+                               " above 4294967295");
+        }
         counts_[i] = static_cast<std::uint32_t>(count);
     }
     row.counts = counts_.data();

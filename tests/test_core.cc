@@ -243,14 +243,6 @@ TEST(IceBreakerTest, EndToEndBeatsBaselineOnFriendlyTrace)
               base.metrics.warmStartFraction());
 }
 
-TEST(IceBreakerTest, ChargesConfiguredOverhead)
-{
-    IceBreakerConfig config;
-    config.overhead_ms = 30;
-    core::IceBreakerPolicy policy(config);
-    EXPECT_EQ(policy.overheadMs(), 30);
-}
-
 TEST(IceBreakerTest, UsesBothTiers)
 {
     trace::SyntheticConfig config;

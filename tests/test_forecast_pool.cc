@@ -229,17 +229,50 @@ TEST(ForecastPoolDeathTest, RejectsASecondConfig)
     EXPECT_DEATH(pool.addFunction(other), "one FIP config");
 }
 
-TEST(ForecastPoolDeathTest, RejectsForecastOfFunctionAddedAfterForecastAll)
+TEST(ForecastPoolDeathTest, RejectsAddFunctionAfterFirstObserve)
 {
-    // The last forecastAll holds results for the functions present
-    // then; a later arrival has none until the next one.
+    // Every lane advances in lockstep from the first interval on, so
+    // the fleet is fixed before anything is observed or forecast.
+    FftPredictorConfig config;
+    config.window = 16;
+    ForecastPool observed;
+    observed.addFunction(config);
+    observed.addFunction(config);
+    observed.observe(0, 1.0);
+    EXPECT_DEATH(observed.addFunction(config), "addFunction after");
+    ForecastPool forecast;
+    forecast.addFunction(config);
+    forecast.forecastAll(4);
+    EXPECT_DEATH(forecast.addFunction(config), "addFunction after");
+}
+
+TEST(ForecastPoolDeathTest, RejectsObserveOutOfLaneOrder)
+{
+    // One interval names lanes 0..L-1 in order, once each.
     FftPredictorConfig config;
     config.window = 16;
     ForecastPool pool;
-    pool.addFunction(config);
-    pool.forecastAll(4);
-    const std::size_t late = pool.addFunction(config);
-    EXPECT_DEATH(pool.forecast(late), "added after forecastAll");
+    for (int fn = 0; fn < 3; ++fn)
+        pool.addFunction(config);
+    EXPECT_DEATH(pool.observe(1, 1.0), "in order");
+    pool.observe(0, 1.0);
+    EXPECT_DEATH(pool.observe(0, 1.0), "in order");
+    EXPECT_DEATH(pool.observe(2, 1.0), "in order");
+}
+
+TEST(ForecastPoolDeathTest, RejectsForecastAllInsideAnInterval)
+{
+    // forecastAll runs between intervals, when every lane has seen
+    // the same number of samples.
+    FftPredictorConfig config;
+    config.window = 16;
+    ForecastPool pool;
+    for (int fn = 0; fn < 3; ++fn)
+        pool.addFunction(config);
+    for (int fn = 0; fn < 3; ++fn)
+        pool.observe(fn, 1.0);
+    pool.observe(0, 1.0);
+    EXPECT_DEATH(pool.forecastAll(4), "inside an interval");
 }
 
 TEST(ForecastPoolTest, BitIdenticalMoreLanesThanOneBlock)
@@ -331,46 +364,6 @@ TEST(ForecastPoolTest, ThreadedExactModeMatchesScalar)
     config.window = 120;
     rollAndCompare(config, 2 * kernels::kLanes + 1, 140, 11,
                    /*threads=*/4);
-}
-
-TEST(ForecastPoolTest, StaggeredArrivalsMatchScalarAtAnyWidth)
-{
-    // Two functions arrive every third round, so each 8-lane block
-    // spans four arrival rounds: one forecastAll holds several sample
-    // counts across blocks and within each (some below min_samples),
-    // and concurrent blocks read several per-length caches.
-    FftPredictorConfig config;
-    config.window = 60;
-    const std::size_t functions = 3 * kernels::kLanes + 4;
-    const std::size_t last_arrival = 3 * (functions / 2 - 1);
-    const std::size_t horizon = 11;
-    for (const std::size_t threads : {1u, 4u}) {
-        ForecastPoolOptions opts;
-        opts.threads = threads;
-        ForecastPool pool(opts);
-        std::vector<stage::Reference> reference;
-        std::vector<double> golden;
-        for (std::size_t t = 0; t <= last_arrival + config.window + 5;
-             ++t) {
-            for (std::size_t k = 0;
-                 k < 2 && t % 3 == 0 && reference.size() < functions;
-                 ++k) {
-                EXPECT_EQ(pool.addFunction(config), reference.size());
-                reference.emplace_back(config);
-            }
-            for (std::size_t fn = 0; fn < reference.size(); ++fn) {
-                const double v = signalAt(fn, t);
-                pool.observe(fn, v);
-                reference[fn].observe(v);
-            }
-            pool.forecastAll(horizon);
-            for (std::size_t fn = 0; fn < reference.size(); ++fn) {
-                reference[fn].forecastHorizon(horizon, golden);
-                expectHorizonBitsEqual(pool.forecast(fn), golden, fn, t);
-            }
-        }
-        EXPECT_EQ(reference.size(), functions);
-    }
 }
 
 /** What a generated-trace roll exercised, beyond bit-identity. */

@@ -425,6 +425,12 @@ TEST(ServeFacadeTest, BadArrivalsAreRejectedNotFatal)
     EXPECT_EQ(engine->rejectedArrivals(), 7u);
     EXPECT_TRUE(engine->pushArrival(1, 2));
     EXPECT_EQ(engine->rejectedArrivals(), 7u);
+    // A push that would wrap the interval's 32-bit count is refused
+    // too; the count may still reach its largest value.
+    EXPECT_FALSE(engine->pushArrival(1, 4294967294u));
+    EXPECT_EQ(engine->rejectedArrivals(), 4294967301u);
+    EXPECT_TRUE(engine->pushArrival(1, 4294967293u));
+    EXPECT_EQ(engine->rejectedArrivals(), 4294967301u);
     engine->advanceInterval(cluster);
     EXPECT_EQ(engine->servedIntervals(), 2);
 }

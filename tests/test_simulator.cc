@@ -9,10 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "common/rng.hh"
 #include "common/units.hh"
+#include "harness/observe.hh"
 #include "policies/faascache_policy.hh"
 #include "policies/openwhisk_policy.hh"
 #include "policies/oracle_policy.hh"
@@ -240,71 +239,12 @@ TEST(SimulatorTest, OverheadChargedToEveryInvocation)
 // Byte-identical regression gate for the sim-core data structures: a
 // fig6-style multi-scheme run over a deterministic Rng-built trace,
 // with every metric field (including each float sample's bit pattern)
-// folded into one FNV-1a hash. The constant below was captured from
+// folded into one FNV-1a hash (harness::digestMetrics, each run's
+// digest continuing from the previous one's). The constant below was captured from
 // the seed implementation (hash-map containers, linear server scans,
 // vector pools, binary event heap); any refactor of the sim layer
 // must reproduce it exactly. The workload only exercises
 // transcendental-free policies so the hash does not depend on libm.
-
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (8 * byte)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1aDouble(std::uint64_t hash, double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnv1a(hash, bits);
-}
-
-std::uint64_t
-hashMetrics(std::uint64_t hash, const SimulationMetrics &m)
-{
-    hash = fnv1a(hash, m.invocations);
-    hash = fnv1a(hash, m.cold_starts);
-    hash = fnv1a(hash, m.warm_starts);
-    hash = fnv1a(hash, m.cold_no_container);
-    hash = fnv1a(hash, m.cold_all_busy);
-    hash = fnv1a(hash, m.cold_setup_attach);
-    hash = fnv1aDouble(hash, m.sum_service_ms);
-    hash = fnv1aDouble(hash, m.sum_wait_ms);
-    hash = fnv1aDouble(hash, m.sum_cold_ms);
-    hash = fnv1aDouble(hash, m.sum_exec_ms);
-    hash = fnv1aDouble(hash, m.sum_overhead_ms);
-    for (const auto *samples :
-         {&m.service_times_ms, &m.service_times_high_ms,
-          &m.service_times_low_ms}) {
-        hash = fnv1a(hash, samples->size());
-        for (float sample : *samples) {
-            std::uint32_t bits = 0;
-            std::memcpy(&bits, &sample, sizeof(bits));
-            hash = fnv1a(hash, bits);
-        }
-    }
-    for (const FunctionMetrics &fm : m.per_function) {
-        hash = fnv1a(hash, fm.invocations);
-        hash = fnv1a(hash, fm.cold_starts);
-        hash = fnv1a(hash, fm.warm_starts);
-        hash = fnv1aDouble(hash, fm.sum_service_ms);
-        hash = fnv1aDouble(hash, fm.sum_wait_ms);
-        hash = fnv1aDouble(hash, fm.sum_cold_ms);
-        hash = fnv1aDouble(hash, fm.sum_exec_ms);
-        hash = fnv1aDouble(hash, fm.keep_alive_cost);
-    }
-    for (int t = 0; t < kNumTiers; ++t) {
-        hash = fnv1aDouble(hash, m.keep_alive[t].successful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasteful_cost);
-        hash = fnv1aDouble(hash, m.keep_alive[t].wasted_mb_ms);
-    }
-    return hash;
-}
 
 // A deterministic bursty multi-function workload that oversubscribes
 // the golden cluster's memory, so warm pools, setup attach, the wait
@@ -358,26 +298,26 @@ TEST(SimulatorGoldenTest, MetricsHashMatchesSeedImplementation)
     cluster.spec(Tier::LowEnd).server_count = 2;
     cluster.spec(Tier::LowEnd).memory_per_server_mb = 1536;
 
-    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::uint64_t hash = obs::Digest::kOffsetBasis;
     {
         policies::OpenWhiskPolicy policy;
-        hash = hashMetrics(
-            hash, runSimulation(tr, profiles, cluster, policy));
+        hash = harness::digestMetrics(
+            runSimulation(tr, profiles, cluster, policy), hash);
     }
     {
         policies::OpenWhiskPolicy policy(2 * kMsPerMinute);
-        hash = hashMetrics(
-            hash, runSimulation(tr, profiles, cluster, policy));
+        hash = harness::digestMetrics(
+            runSimulation(tr, profiles, cluster, policy), hash);
     }
     {
         policies::FaasCachePolicy policy;
-        hash = hashMetrics(
-            hash, runSimulation(tr, profiles, cluster, policy));
+        hash = harness::digestMetrics(
+            runSimulation(tr, profiles, cluster, policy), hash);
     }
     {
         policies::OraclePolicy policy;
-        hash = hashMetrics(
-            hash, runSimulation(tr, profiles, cluster, policy));
+        hash = harness::digestMetrics(
+            runSimulation(tr, profiles, cluster, policy), hash);
     }
 
     constexpr std::uint64_t kSeedImplementationHash =
@@ -445,7 +385,7 @@ TEST(SimulatorGoldenTest, EvictionHeavyMetricsHashIsStable)
     cluster.spec(Tier::LowEnd).server_count = 2;
     cluster.spec(Tier::LowEnd).memory_per_server_mb = 8192;
 
-    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::uint64_t hash = obs::Digest::kOffsetBasis;
     const auto runAndHash = [&](Policy &policy) {
         const SimulationMetrics m =
             runSimulation(tr, profiles, cluster, policy);
@@ -455,7 +395,7 @@ TEST(SimulatorGoldenTest, EvictionHeavyMetricsHashIsStable)
         EXPECT_GT(m.event_loop.eviction_victims_examined, 0u);
         EXPECT_GT(m.service_times_high_ms.size(), 2 * 4096u);
         EXPECT_GT(m.service_times_low_ms.size(), 2 * 4096u);
-        hash = hashMetrics(hash, m);
+        hash = harness::digestMetrics(m, hash);
     };
     {
         policies::FaasCachePolicy policy;
@@ -606,8 +546,8 @@ TEST(SimulatorTest, KeepAliveExpiringOnIntervalBoundaryIsDeterministic)
     };
     const SimulationMetrics first = run();
     const SimulationMetrics second = run();
-    EXPECT_EQ(hashMetrics(0xcbf29ce484222325ull, first),
-              hashMetrics(0xcbf29ce484222325ull, second));
+    EXPECT_EQ(harness::digestMetrics(first),
+              harness::digestMetrics(second));
 }
 
 TEST(SimulatorTest, HighTierPreferredWhileItHasRoom)

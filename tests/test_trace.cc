@@ -435,6 +435,18 @@ TEST(AzureLoaderDeathTest, RejectsNegativeCounts)
         "a,1,1,-4\n");
     EXPECT_EXIT(loadAzureCsv(in), ::testing::ExitedWithCode(1),
                 "negative");
+    // Counts are 32-bit: one past the largest is refused rather than
+    // wrapped to 0, and the largest itself loads.
+    std::istringstream wide(
+        "name,memory_mb,avg_exec_ms,m1\n"
+        "a,1,1,4294967296\n");
+    EXPECT_EXIT(loadAzureCsv(wide), ::testing::ExitedWithCode(1),
+                "line 2, column 4: invocation count 4294967296 above");
+    std::istringstream largest(
+        "name,memory_mb,avg_exec_ms,m1\n"
+        "a,1,1,4294967295\n");
+    EXPECT_EQ(loadAzureCsv(largest).function(0).concurrency[0],
+              4294967295u);
 }
 
 // ------------------------------------------------------------ TraceStats
