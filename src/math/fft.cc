@@ -64,22 +64,21 @@ fftPow2Impl(std::vector<Complex> &data, bool inverse)
 }
 
 /**
- * Bluestein's chirp-z transform: express the DFT as a convolution and
- * evaluate it with power-of-two FFTs.
+ * Bluestein's chirp-z transform: express the forward DFT as a
+ * convolution and evaluate it with power-of-two FFTs.
  */
 std::vector<Complex>
-bluestein(const std::vector<Complex> &data, bool inverse)
+bluestein(const std::vector<Complex> &data)
 {
     const std::size_t n = data.size();
     std::size_t m = 1;
     while (m < 2 * n + 1)
         m <<= 1;
 
-    const double sign = inverse ? 1.0 : -1.0;
     std::vector<Complex> chirp(n);
     for (std::size_t i = 0; i < n; ++i) {
         // i*i may overflow for huge n; series lengths here are small.
-        const double angle = sign * M_PI *
+        const double angle = -M_PI *
             static_cast<double>(i) * static_cast<double>(i) /
             static_cast<double>(n);
         chirp[i] = Complex(std::cos(angle), std::sin(angle));
@@ -102,11 +101,6 @@ bluestein(const std::vector<Complex> &data, bool inverse)
     std::vector<Complex> out(n);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = a[i] * chirp[i];
-    if (inverse) {
-        const double scale = 1.0 / static_cast<double>(n);
-        for (auto &value : out)
-            value *= scale;
-    }
     return out;
 }
 
@@ -127,19 +121,7 @@ fft(const std::vector<Complex> &data)
         fftPow2Impl(copy, false);
         return copy;
     }
-    return bluestein(data, false);
-}
-
-std::vector<Complex>
-ifft(const std::vector<Complex> &data)
-{
-    ICEB_ASSERT(!data.empty(), "ifft of empty spectrum");
-    if (isPowerOfTwo(data.size())) {
-        std::vector<Complex> copy = data;
-        fftPow2Impl(copy, true);
-        return copy;
-    }
-    return bluestein(data, true);
+    return bluestein(data);
 }
 
 std::vector<Complex>
@@ -243,33 +225,23 @@ FftPlan::buildBluestein()
     const std::size_t n = n_;
     const std::size_t m = pow2_len_;
     chirp_fwd_.resize(n);
-    chirp_inv_.resize(n);
-    for (const bool inverse : {false, true}) {
-        const double sign = inverse ? 1.0 : -1.0;
-        std::vector<Complex> &chirp = inverse ? chirp_inv_ : chirp_fwd_;
-        for (std::size_t i = 0; i < n; ++i) {
-            // i*i may overflow for huge n; series lengths here are
-            // small. Same expression order as bluestein() above, so
-            // the cached chirp is bit-identical to the fresh one.
-            const double angle = sign * M_PI *
-                static_cast<double>(i) * static_cast<double>(i) /
-                static_cast<double>(n);
-            chirp[i] = Complex(std::cos(angle), std::sin(angle));
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        // i*i may overflow for huge n; series lengths here are small.
+        // Same expression order as bluestein() above, so the cached
+        // chirp is bit-identical to the fresh one.
+        const double angle = -M_PI *
+            static_cast<double>(i) * static_cast<double>(i) /
+            static_cast<double>(n);
+        chirp_fwd_[i] = Complex(std::cos(angle), std::sin(angle));
     }
 
     // The convolution kernel b depends only on the chirp, so its
     // forward transform is computed once here instead of per call.
-    for (const bool inverse : {false, true}) {
-        const std::vector<Complex> &chirp =
-            inverse ? chirp_inv_ : chirp_fwd_;
-        std::vector<Complex> b(m, Complex(0.0, 0.0));
-        b[0] = std::conj(chirp[0]);
-        for (std::size_t i = 1; i < n; ++i)
-            b[i] = b[m - i] = std::conj(chirp[i]);
-        pow2InPlace(b.data(), false);
-        (inverse ? bfft_inv_ : bfft_fwd_) = std::move(b);
-    }
+    bfft_fwd_.assign(m, Complex(0.0, 0.0));
+    bfft_fwd_[0] = std::conj(chirp_fwd_[0]);
+    for (std::size_t i = 1; i < n; ++i)
+        bfft_fwd_[i] = bfft_fwd_[m - i] = std::conj(chirp_fwd_[i]);
+    pow2InPlace(bfft_fwd_.data(), false);
 }
 
 void
@@ -326,32 +298,6 @@ FftPlan::forward(const Complex *in, Complex *out, FftScratch &scratch) const
     pow2InPlace(a.data(), true);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = a[i] * chirp_fwd_[i];
-}
-
-void
-FftPlan::inverse(const Complex *in, Complex *out, FftScratch &scratch) const
-{
-    if (is_pow2_) {
-        if (out != in) {
-            for (std::size_t i = 0; i < n_; ++i)
-                out[i] = in[i];
-        }
-        pow2InPlace(out, true);
-        return;
-    }
-    const std::size_t n = n_;
-    const std::size_t m = pow2_len_;
-    std::vector<Complex> &a = scratch.work;
-    a.assign(m, Complex(0.0, 0.0));
-    for (std::size_t i = 0; i < n; ++i)
-        a[i] = in[i] * chirp_inv_[i];
-    pow2InPlace(a.data(), false);
-    for (std::size_t i = 0; i < m; ++i)
-        a[i] *= bfft_inv_[i];
-    pow2InPlace(a.data(), true);
-    const double scale = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = a[i] * chirp_inv_[i] * scale;
 }
 
 void

@@ -9,8 +9,8 @@
  *
  * Two tiers of API:
  *
- *  - Plain functions (fft/ifft/fftReal): allocate their result, fine
- *    for tests and one-off analysis.
+ *  - Plain functions (fft/fftReal): allocate their result, fine for
+ *    tests and one-off analysis.
  *  - FftPlan + FftScratch: a transform plan cached per length that
  *    precomputes bit-reversal permutations, twiddle tables and (for
  *    non-power-of-two lengths) the Bluestein chirp and its
@@ -43,9 +43,6 @@ bool isPowerOfTwo(std::size_t n);
  * and to Bluestein's algorithm otherwise; O(n log n) in both cases.
  */
 std::vector<Complex> fft(const std::vector<Complex> &data);
-
-/** Inverse DFT of an arbitrary-length complex spectrum. */
-std::vector<Complex> ifft(const std::vector<Complex> &data);
 
 /**
  * Forward DFT of a real signal. For even lengths the samples are
@@ -80,9 +77,10 @@ struct FftScratch
  * Holds the bit-reversal permutation and per-stage twiddle tables of
  * the radix-2 kernel (generated with the same recurrence the plain
  * functions use, so plan transforms are bit-identical to them), plus
- * - for non-power-of-two lengths - the Bluestein chirp vectors and
- * the forward transform of the convolution kernel b, for both
- * transform directions.
+ * - for non-power-of-two lengths - the Bluestein chirp and the
+ * forward transform of the convolution kernel b. Both butterfly
+ * directions are tabled: a Bluestein transform returns from the
+ * convolution through an inverse power-of-two pass.
  *
  * Plans are immutable after construction and safe to share across
  * threads; all mutable state lives in the caller's FftScratch.
@@ -101,10 +99,6 @@ class FftPlan
      * @p out. in == out is allowed.
      */
     void forward(const Complex *in, Complex *out,
-                 FftScratch &scratch) const;
-
-    /** Inverse DFT (1/n scaled); in == out is allowed. */
-    void inverse(const Complex *in, Complex *out,
                  FftScratch &scratch) const;
 
     /**
@@ -163,9 +157,7 @@ class FftPlan
     std::vector<Complex> tw_fwd_; //!< concatenated per-stage twiddles
     std::vector<Complex> tw_inv_;
     std::vector<Complex> chirp_fwd_;
-    std::vector<Complex> chirp_inv_;
     std::vector<Complex> bfft_fwd_; //!< FFT of the Bluestein kernel b
-    std::vector<Complex> bfft_inv_;
     std::unique_ptr<const FftPlan> half_; //!< n/2 plan (real path)
     std::vector<Complex> real_tw_; //!< exp(-2*pi*i*k/n), k < n/2
 };

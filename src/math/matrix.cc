@@ -8,87 +8,6 @@
 namespace iceb::math
 {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0)
-{
-    ICEB_ASSERT(rows > 0 && cols > 0, "matrix dimensions must be positive");
-}
-
-Matrix
-Matrix::fromRows(const std::vector<std::vector<double>> &rows)
-{
-    ICEB_ASSERT(!rows.empty() && !rows.front().empty(),
-                "fromRows needs at least one element");
-    Matrix m(rows.size(), rows.front().size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        ICEB_ASSERT(rows[r].size() == m.cols_, "ragged matrix rows");
-        for (std::size_t c = 0; c < m.cols_; ++c)
-            m.at(r, c) = rows[r][c];
-    }
-    return m;
-}
-
-Matrix
-Matrix::identity(std::size_t n)
-{
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        m.at(i, i) = 1.0;
-    return m;
-}
-
-double &
-Matrix::at(std::size_t r, std::size_t c)
-{
-    ICEB_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::at(std::size_t r, std::size_t c) const
-{
-    ICEB_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
-    return data_[r * cols_ + c];
-}
-
-Matrix
-Matrix::multiply(const Matrix &rhs) const
-{
-    ICEB_ASSERT(cols_ == rhs.rows_, "matrix product shape mismatch");
-    Matrix out(rows_, rhs.cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const double lhs_val = at(r, k);
-            if (lhs_val == 0.0)
-                continue;
-            for (std::size_t c = 0; c < rhs.cols_; ++c)
-                out.at(r, c) += lhs_val * rhs.at(k, c);
-        }
-    }
-    return out;
-}
-
-std::vector<double>
-Matrix::multiply(const std::vector<double> &vec) const
-{
-    ICEB_ASSERT(cols_ == vec.size(), "matrix-vector shape mismatch");
-    std::vector<double> out(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            out[r] += at(r, c) * vec[c];
-    return out;
-}
-
-Matrix
-Matrix::transposed() const
-{
-    Matrix out(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            out.at(c, r) = at(r, c);
-    return out;
-}
-
 void
 solveLinearSystemInPlace(std::vector<double> &aug, std::size_t n,
                          std::vector<double> &x, bool *singular)
@@ -112,7 +31,7 @@ solveLinearSystemInPlace(std::vector<double> &aug, std::size_t n,
                 x.assign(n, 0.0);
                 return;
             }
-            panic("singular system in solveLinearSystem");
+            panic("singular system in solveLinearSystemInPlace");
         }
         if (pivot != col) {
             std::swap_ranges(work + col * stride,
@@ -139,25 +58,6 @@ solveLinearSystemInPlace(std::vector<double> &aug, std::size_t n,
             acc -= row[c] * x[c];
         x[r] = acc / row[r];
     }
-}
-
-std::vector<double>
-solveLinearSystem(const Matrix &a, const std::vector<double> &b,
-                  bool *singular)
-{
-    ICEB_ASSERT(a.rows() == a.cols(), "solve needs a square system");
-    ICEB_ASSERT(a.rows() == b.size(), "rhs size mismatch");
-    const std::size_t n = a.rows();
-
-    std::vector<double> aug(n * (n + 1));
-    for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c)
-            aug[r * (n + 1) + c] = a.at(r, c);
-        aug[r * (n + 1) + n] = b[r];
-    }
-    std::vector<double> x;
-    solveLinearSystemInPlace(aug, n, x, singular);
-    return x;
 }
 
 bool
@@ -282,16 +182,6 @@ FactoredSystem::solve(const double *b, double *x) const
             acc -= row[c] * x[c];
         x[r] = acc / row[r];
     }
-}
-
-double
-dot(const std::vector<double> &a, const std::vector<double> &b)
-{
-    ICEB_ASSERT(a.size() == b.size(), "dot product size mismatch");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        acc += a[i] * b[i];
-    return acc;
 }
 
 } // namespace iceb::math

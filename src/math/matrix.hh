@@ -1,10 +1,12 @@
 /**
  * @file
- * Small dense matrix/vector helpers.
+ * Small dense linear solvers over caller-owned row-major arrays.
  *
- * Sized for the library's needs: normal equations for polynomial
- * fitting (3x3), Yule-Walker systems for ARIMA (order <= ~8), and the
- * LSTM's weight matrices (tens of rows). Row-major storage.
+ * Sized for the library's needs: the polynomial trend's normal
+ * equations (3x3, one factorisation replayed per function by the
+ * batched forecaster), ARIMA's two least-squares fits (at most
+ * p + q + 4 unknowns) and the harmonic fit's positive definite Gram
+ * systems (two unknowns per harmonic).
  */
 
 #ifndef ICEB_MATH_MATRIX_HH
@@ -17,66 +19,14 @@
 namespace iceb::math
 {
 
-/** Dense row-major matrix of doubles. */
-class Matrix
-{
-  public:
-    /** Construct a rows x cols matrix of zeros. */
-    Matrix(std::size_t rows, std::size_t cols);
-
-    /** Construct from nested initializer-style data (row major). */
-    static Matrix fromRows(const std::vector<std::vector<double>> &rows);
-
-    /** Identity matrix of size n. */
-    static Matrix identity(std::size_t n);
-
-    std::size_t rows() const { return rows_; }
-    std::size_t cols() const { return cols_; }
-
-    /** Mutable element access (no bounds check in release builds). */
-    double &at(std::size_t r, std::size_t c);
-
-    /** Const element access. */
-    double at(std::size_t r, std::size_t c) const;
-
-    /** Matrix product this * rhs. */
-    Matrix multiply(const Matrix &rhs) const;
-
-    /** Matrix-vector product. */
-    std::vector<double> multiply(const std::vector<double> &vec) const;
-
-    /** Transpose. */
-    Matrix transposed() const;
-
-  private:
-    std::size_t rows_;
-    std::size_t cols_;
-    std::vector<double> data_;
-};
-
-/**
- * Solve the linear system A x = b using Gaussian elimination with
- * partial pivoting. @p a must be square and non-singular (within
- * numerical tolerance); returns the solution vector.
- *
- * @param a System matrix (copied; not modified).
- * @param b Right-hand side; size must equal a.rows().
- * @param singular Optional out-flag set true when the system is
- *                 numerically singular (the returned vector is then
- *                 all zeros instead of garbage).
- */
-std::vector<double> solveLinearSystem(const Matrix &a,
-                                      const std::vector<double> &b,
-                                      bool *singular = nullptr);
-
 /**
  * Allocation-free Gaussian elimination over a caller-built augmented
  * system: @p aug holds n rows of (n + 1) columns row-major, the last
  * column being the right-hand side. @p aug is destroyed; the solution
  * is written to @p x (resized to n, no allocation once capacity
- * exists). Pivoting, tolerances and operation order match
- * solveLinearSystem exactly (which delegates here), so both produce
- * bit-identical solutions.
+ * exists). Partial pivoting; a pivot below 1e-12 marks the system
+ * singular, which sets @p singular and zeroes @p x (or panics when
+ * @p singular is null).
  */
 void solveLinearSystemInPlace(std::vector<double> &aug, std::size_t n,
                               std::vector<double> &x,
@@ -142,9 +92,6 @@ class FactoredSystem
     std::vector<double> factors_;      //!< elimination tape, exec order
     std::vector<double> upper_;        //!< post-elimination matrix rows
 };
-
-/** Dot product of two equal-length vectors. */
-double dot(const std::vector<double> &a, const std::vector<double> &b);
 
 } // namespace iceb::math
 

@@ -1,8 +1,5 @@
 #include "math/polyfit.hh"
 
-#include <cmath>
-#include <numeric>
-
 #include "common/logging.hh"
 #include "math/matrix.hh"
 
@@ -43,47 +40,6 @@ Polynomial::evaluate(double t) const
 }
 
 Polynomial
-polyfit(const std::vector<double> &x, const std::vector<double> &y,
-        std::size_t degree)
-{
-    ICEB_ASSERT(x.size() == y.size(), "polyfit size mismatch");
-    ICEB_ASSERT(!x.empty(), "polyfit of empty data");
-    const std::size_t terms = degree + 1;
-
-    // Normal equations: (V^T V) c = V^T y with Vandermonde V. Only the
-    // power sums sum_i x_i^k (k <= 2*degree) and sum_i x_i^k * y_i
-    // (k <= degree) are needed.
-    Matrix ata(terms, terms);
-    std::vector<double> aty(terms, 0.0);
-    std::vector<double> powers(2 * degree + 1, 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        double xk = 1.0;
-        for (std::size_t k = 0; k < powers.size(); ++k) {
-            powers[k] += xk;
-            if (k < terms)
-                aty[k] += xk * y[i];
-            xk *= x[i];
-        }
-    }
-    for (std::size_t r = 0; r < terms; ++r)
-        for (std::size_t c = 0; c < terms; ++c)
-            ata.at(r, c) = powers[r + c];
-
-    bool singular = false;
-    std::vector<double> coeffs = solveLinearSystem(ata, aty, &singular);
-    if (singular) {
-        // Degenerate sample (e.g. constant x): fall back to mean level.
-        const double mean =
-            std::accumulate(y.begin(), y.end(), 0.0) /
-            static_cast<double>(y.size());
-        std::vector<double> fallback(terms, 0.0);
-        fallback[0] = mean;
-        return Polynomial(std::move(fallback));
-    }
-    return Polynomial(std::move(coeffs));
-}
-
-Polynomial
 polyfitSeries(const std::vector<double> &y, std::size_t degree)
 {
     Polynomial out;
@@ -99,9 +55,9 @@ polyfitSeries(const double *y, std::size_t n, std::size_t degree,
     ICEB_ASSERT(n >= 1, "polyfit of empty data");
     const std::size_t terms = degree + 1;
 
-    // Same normal-equation power sums as polyfit() over the implicit
-    // sample points x_i = i (iota yields the exact same doubles), so
-    // the fit is bit-identical to polyfit(iota, y, degree).
+    // Normal equations (V^T V) c = V^T y with Vandermonde V over the
+    // sample points x_i = i: only the power sums sum_i x_i^k
+    // (k <= 2*degree) and sum_i x_i^k * y_i (k <= degree) are needed.
     ws.powers.assign(2 * degree + 1, 0.0);
     ws.aty.assign(terms, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -125,7 +81,7 @@ polyfitSeries(const double *y, std::size_t n, std::size_t degree,
     solveLinearSystemInPlace(ws.aug, terms, ws.coeffs, &singular);
     if (singular) {
         // Degenerate sample (e.g. a single point): fall back to the
-        // mean level, matching polyfit().
+        // mean level.
         double sum = 0.0;
         for (std::size_t i = 0; i < n; ++i)
             sum += y[i];
@@ -174,17 +130,6 @@ detrendInto(const double *y, std::size_t n, const Polynomial &trend,
     out.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = y[i] - trend.evaluate(static_cast<double>(i));
-}
-
-double
-residualSumOfSquares(const std::vector<double> &y, const Polynomial &trend)
-{
-    double acc = 0.0;
-    for (std::size_t i = 0; i < y.size(); ++i) {
-        const double r = y[i] - trend.evaluate(static_cast<double>(i));
-        acc += r * r;
-    }
-    return acc;
 }
 
 } // namespace iceb::math

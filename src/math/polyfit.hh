@@ -64,19 +64,13 @@ struct PolyfitWorkspace
 };
 
 /**
- * Fit a least-squares polynomial of the given degree to the points
- * (x[i], y[i]). Uses the normal equations solved by Gaussian
- * elimination; adequate for the low degrees (<= 3) used here.
+ * Fit a least-squares polynomial of the given degree over implicit
+ * x = 0, 1, ..., y.size()-1; the form the FIP uses on its local
+ * window. Uses the normal equations solved by Gaussian elimination;
+ * adequate for the low degrees (<= 3) used here.
  *
- * If the system is singular (e.g. fewer distinct x values than
- * coefficients) the fit degrades gracefully to the mean of y.
- */
-Polynomial polyfit(const std::vector<double> &x,
-                   const std::vector<double> &y, std::size_t degree);
-
-/**
- * Fit over implicit x = 0, 1, ..., y.size()-1; the form the FIP uses
- * on its local window.
+ * If the system is singular (fewer samples than coefficients) the fit
+ * degrades gracefully to the mean of y.
  */
 Polynomial polyfitSeries(const std::vector<double> &y, std::size_t degree);
 
@@ -123,10 +117,6 @@ std::vector<double> detrend(const std::vector<double> &y,
 /** detrend into a reused output buffer (no allocation once sized). */
 void detrendInto(const double *y, std::size_t n, const Polynomial &trend,
                  std::vector<double> &out);
-
-/** Residual sum of squares of a fit over implicit x = 0..n-1. */
-double residualSumOfSquares(const std::vector<double> &y,
-                            const Polynomial &trend);
 
 } // namespace iceb::math
 

@@ -75,19 +75,6 @@ percentile(const std::vector<double> &values, double q)
     return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-std::vector<double>
-minMaxNormalize(const std::vector<double> &values)
-{
-    if (values.empty())
-        return {};
-    const double lo = minValue(values);
-    const double hi = maxValue(values);
-    std::vector<double> out(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out[i] = minMaxNormalizeValue(values[i], lo, hi);
-    return out;
-}
-
 double
 minMaxNormalizeValue(double value, double lo, double hi)
 {
@@ -135,31 +122,6 @@ buildCdf(std::vector<double> values)
     for (std::size_t i = 0; i < cdf.values.size(); ++i)
         cdf.probabilities[i] = static_cast<double>(i + 1) / n;
     return cdf;
-}
-
-double
-meanAbsoluteError(const std::vector<double> &a, const std::vector<double> &b)
-{
-    ICEB_ASSERT(a.size() == b.size(), "MAE size mismatch");
-    if (a.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        acc += std::fabs(a[i] - b[i]);
-    return acc / static_cast<double>(a.size());
-}
-
-double
-rootMeanSquaredError(const std::vector<double> &a,
-                     const std::vector<double> &b)
-{
-    ICEB_ASSERT(a.size() == b.size(), "RMSE size mismatch");
-    if (a.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        acc += (a[i] - b[i]) * (a[i] - b[i]);
-    return std::sqrt(acc / static_cast<double>(a.size()));
 }
 
 } // namespace iceb::math

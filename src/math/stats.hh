@@ -40,12 +40,10 @@ double median(const std::vector<double> &values);
 double percentile(const std::vector<double> &values, double q);
 
 /**
- * Min-max normalise into [0, 1]. A constant vector maps to all 0.5
- * (no information to rank on, so everything is "average").
+ * Min-max normalise one value into [0, 1] given precomputed bounds.
+ * Equal bounds map to 0.5 (no information to rank on, so everything
+ * is "average").
  */
-std::vector<double> minMaxNormalize(const std::vector<double> &values);
-
-/** Min-max normalise one value given precomputed bounds. */
 double minMaxNormalizeValue(double value, double lo, double hi);
 
 /**
@@ -66,14 +64,6 @@ struct Cdf
 
 /** Build the empirical CDF of a sample. */
 Cdf buildCdf(std::vector<double> values);
-
-/** Mean absolute error between two equal-length series. */
-double meanAbsoluteError(const std::vector<double> &a,
-                         const std::vector<double> &b);
-
-/** Root mean squared error between two equal-length series. */
-double rootMeanSquaredError(const std::vector<double> &a,
-                            const std::vector<double> &b);
 
 } // namespace iceb::math
 

@@ -13,38 +13,38 @@ namespace
 {
 
 /**
- * Ordinary least squares: regress y on the rows of the design matrix
- * (each row one observation). Returns the coefficient vector, or an
- * empty vector when the normal equations are singular.
+ * Ordinary least squares: regress w[t] on regressor(t, 0..k) for t in
+ * [first, w.size()). The normal equations are accumulated straight
+ * into @p aug as the k x (k + 1) augmented system [X^T X | X^T y] and
+ * solved into @p coeffs. Returns false when they are singular.
  */
-std::vector<double>
-leastSquares(const std::vector<std::vector<double>> &rows,
-             const std::vector<double> &y)
+template <typename Regressor>
+bool
+leastSquares(const std::vector<double> &w, std::size_t first,
+             std::size_t k, Regressor regressor, std::vector<double> &aug,
+             std::vector<double> &coeffs)
 {
-    ICEB_ASSERT(!rows.empty() && rows.size() == y.size(),
-                "least-squares shape mismatch");
-    const std::size_t k = rows.front().size();
-    math::Matrix xtx(k, k);
-    std::vector<double> xty(k, 0.0);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        ICEB_ASSERT(rows[i].size() == k, "ragged design matrix");
+    const std::size_t stride = k + 1;
+    aug.assign(k * stride, 0.0);
+    for (std::size_t t = first; t < w.size(); ++t) {
         for (std::size_t a = 0; a < k; ++a) {
-            xty[a] += rows[i][a] * y[i];
+            const double ra = regressor(t, a);
+            double *row = aug.data() + a * stride;
+            row[k] += ra * w[t];
             for (std::size_t b = 0; b < k; ++b)
-                xtx.at(a, b) += rows[i][a] * rows[i][b];
+                row[b] += ra * regressor(t, b);
         }
     }
     // Proportional ridge regularisation: lagged-regressor columns of
     // periodic series are near-collinear, and an unregularised fit
     // produces wild coefficients.
-    for (std::size_t a = 0; a < k; ++a)
-        xtx.at(a, a) += 1e-3 * xtx.at(a, a) + 1e-8;
+    for (std::size_t a = 0; a < k; ++a) {
+        double &diag = aug[a * stride + a];
+        diag += 1e-3 * diag + 1e-8;
+    }
     bool singular = false;
-    std::vector<double> coeffs =
-        math::solveLinearSystem(xtx, xty, &singular);
-    if (singular)
-        return {};
-    return coeffs;
+    math::solveLinearSystemInPlace(aug, k, coeffs, &singular);
+    return !singular;
 }
 
 } // namespace
@@ -53,23 +53,8 @@ ArimaPredictor::ArimaPredictor(ArimaConfig config)
     : config_(config)
 {
     ICEB_ASSERT(config_.p >= 1, "ARIMA needs p >= 1");
-    ICEB_ASSERT(config_.window > config_.p + config_.q + config_.d + 5,
+    ICEB_ASSERT(config_.window > config_.p + config_.q + 6,
                 "ARIMA window too small for its order");
-}
-
-std::vector<double>
-ArimaPredictor::difference(const std::vector<double> &y, std::size_t d)
-{
-    std::vector<double> out = y;
-    for (std::size_t round = 0; round < d; ++round) {
-        if (out.size() < 2)
-            return {};
-        std::vector<double> next(out.size() - 1);
-        for (std::size_t i = 1; i < out.size(); ++i)
-            next[i - 1] = out[i] - out[i - 1];
-        out = std::move(next);
-    }
-    return out;
 }
 
 void
@@ -89,73 +74,49 @@ void
 ArimaPredictor::refit()
 {
     fitted_ = false;
-    const std::vector<double> w = difference(history_, config_.d);
-    const std::size_t min_len =
-        std::max(config_.p, config_.q) + config_.p + config_.q + 5;
-    if (w.size() < min_len)
+    diff_.clear();
+    for (std::size_t i = 1; i < history_.size(); ++i)
+        diff_.push_back(history_[i] - history_[i - 1]);
+    const std::vector<double> &w = diff_;
+    const std::size_t p = config_.p;
+    const std::size_t q = config_.q;
+    if (w.size() < std::max(p, q) + p + q + 5)
         return;
 
     // Stage 1: long autoregression to estimate innovations.
-    const std::size_t long_order =
-        std::min(config_.p + config_.q + 3, w.size() / 3);
-    std::vector<std::vector<double>> rows1;
-    std::vector<double> y1;
-    for (std::size_t t = long_order; t < w.size(); ++t) {
-        std::vector<double> row;
-        row.push_back(1.0);
-        for (std::size_t lag = 1; lag <= long_order; ++lag)
-            row.push_back(w[t - lag]);
-        rows1.push_back(std::move(row));
-        y1.push_back(w[t]);
-    }
-    const std::vector<double> long_coeffs = leastSquares(rows1, y1);
-    if (long_coeffs.empty())
+    const std::size_t long_order = std::min(p + q + 3, w.size() / 3);
+    const auto long_row = [&w](std::size_t t, std::size_t a) {
+        return a == 0 ? 1.0 : w[t - a];
+    };
+    if (!leastSquares(w, long_order, long_order + 1, long_row, aug_,
+                      coeffs_))
         return;
 
-    std::vector<double> innovations(w.size(), 0.0);
+    innovations_.assign(w.size(), 0.0);
     for (std::size_t t = long_order; t < w.size(); ++t) {
-        double fit = long_coeffs[0];
+        double fit = coeffs_[0];
         for (std::size_t lag = 1; lag <= long_order; ++lag)
-            fit += long_coeffs[lag] * w[t - lag];
-        innovations[t] = w[t] - fit;
+            fit += coeffs_[lag] * w[t - lag];
+        innovations_[t] = w[t] - fit;
     }
 
     // Stage 2: regress on p AR lags and q lagged innovations.
-    const std::size_t start =
-        std::max(config_.p, config_.q) + long_order;
-    if (start >= w.size())
-        return;
-    std::vector<std::vector<double>> rows2;
-    std::vector<double> y2;
-    for (std::size_t t = start; t < w.size(); ++t) {
-        std::vector<double> row;
-        row.push_back(1.0);
-        for (std::size_t lag = 1; lag <= config_.p; ++lag)
-            row.push_back(w[t - lag]);
-        for (std::size_t lag = 1; lag <= config_.q; ++lag)
-            row.push_back(innovations[t - lag]);
-        rows2.push_back(std::move(row));
-        y2.push_back(w[t]);
-    }
-    const std::vector<double> coeffs = leastSquares(rows2, y2);
-    if (coeffs.empty())
+    const std::vector<double> &e = innovations_;
+    const auto row = [&w, &e, p](std::size_t t, std::size_t a) {
+        if (a == 0)
+            return 1.0;
+        return a <= p ? w[t - a] : e[t - (a - p)];
+    };
+    if (!leastSquares(w, std::max(p, q) + long_order, 1 + p + q, row, aug_,
+                      coeffs_))
         return;
 
-    intercept_ = coeffs[0];
-    ar_coeffs_.assign(coeffs.begin() + 1,
-                      coeffs.begin() + 1 +
-                          static_cast<std::ptrdiff_t>(config_.p));
-    ma_coeffs_.assign(
-        coeffs.begin() + 1 + static_cast<std::ptrdiff_t>(config_.p),
-        coeffs.end());
     // Keep the MA part invertible; a recursive residual filter with
     // |theta| >= 1 diverges.
-    for (double &theta : ma_coeffs_)
-        theta = std::clamp(theta, -0.95, 0.95);
-
-    // Standard Hannan-Rissanen: the stage-1 innovations serve as the
-    // estimated shocks for forecasting.
-    residuals_ = innovations;
+    for (std::size_t j = 1 + p; j < coeffs_.size(); ++j)
+        coeffs_[j] = std::clamp(coeffs_[j], -0.95, 0.95);
+    // Standard Hannan-Rissanen: predictNext reads the stage-1
+    // innovations as the estimated shocks.
     fitted_ = true;
 }
 
@@ -167,29 +128,22 @@ ArimaPredictor::predictNext()
     if (!fitted_)
         return std::max(0.0, math::mean(history_));
 
-    const std::vector<double> w = difference(history_, config_.d);
-    if (w.size() < config_.p)
-        return std::max(0.0, history_.back());
-
-    double w_hat = intercept_;
-    for (std::size_t lag = 1; lag <= config_.p; ++lag)
-        w_hat += ar_coeffs_[lag - 1] * w[w.size() - lag];
-    for (std::size_t lag = 1;
-         lag <= config_.q && lag <= residuals_.size(); ++lag) {
-        w_hat += ma_coeffs_[lag - 1] * residuals_[residuals_.size() - lag];
+    // A fit saw more than p + q differences and the history never
+    // shrinks, so both lag loops below stay in range.
+    const std::size_t n = history_.size();
+    const std::size_t p = config_.p;
+    double w_hat = coeffs_[0];
+    for (std::size_t lag = 1; lag <= p; ++lag)
+        w_hat += coeffs_[lag] * (history_[n - lag] - history_[n - lag - 1]);
+    for (std::size_t lag = 1; lag <= config_.q; ++lag) {
+        w_hat += coeffs_[p + lag] *
+            innovations_[innovations_.size() - lag];
     }
 
-    // Undifference: fold the forecast back up through each level.
-    double forecast = w_hat;
-    for (std::size_t level = config_.d; level-- > 0;) {
-        const std::vector<double> series =
-            difference(history_, level);
-        ICEB_ASSERT(!series.empty(), "undifference underflow");
-        forecast += series.back();
-    }
-    // An unstable fit (e.g. right after a regime change) can produce
-    // runaway forecasts; clamp to a multiple of the observed range,
-    // as any deployed controller would.
+    // Undifference, then clamp: an unstable fit (e.g. right after a
+    // regime change) can produce runaway forecasts, so bound them by a
+    // multiple of the observed range, as any deployed controller would.
+    const double forecast = w_hat + history_.back();
     const double ceiling =
         2.0 * *std::max_element(history_.begin(), history_.end()) + 1.0;
     return std::clamp(forecast, 0.0, ceiling);
@@ -199,10 +153,6 @@ void
 ArimaPredictor::reset()
 {
     history_.clear();
-    ar_coeffs_.clear();
-    ma_coeffs_.clear();
-    residuals_.clear();
-    intercept_ = 0.0;
     fitted_ = false;
     since_refit_ = 0;
 }

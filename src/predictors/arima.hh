@@ -1,13 +1,14 @@
 /**
  * @file
- * ARIMA(p, d, q) predictor.
+ * ARIMA(p, 1, q) predictor.
  *
  * This is the invocation-concurrency predictor the paper attributes
  * to "Serverless in the Wild" (enhanced, as the paper did, to predict
- * counts and with tunable lags/differencing/moving-average order).
- * Fitting uses the Hannan-Rissanen two-stage procedure: a long
- * autoregression estimates the innovations, then the final AR + MA
- * coefficients come from one least-squares regression.
+ * counts and with tunable lags/moving-average order). It models first
+ * differences, the one differencing order any caller uses. Fitting
+ * uses the Hannan-Rissanen two-stage procedure: a long autoregression
+ * estimates the innovations, then the final AR + MA coefficients come
+ * from one least-squares regression.
  */
 
 #ifndef ICEB_PREDICTORS_ARIMA_HH
@@ -20,11 +21,10 @@
 namespace iceb::predictors
 {
 
-/** ARIMA order and window configuration. */
+/** ARIMA order and window configuration (differencing order 1). */
 struct ArimaConfig
 {
     std::size_t p = 3;        //!< autoregressive lags
-    std::size_t d = 1;        //!< degree of differencing
     std::size_t q = 2;        //!< moving-average order
     std::size_t window = 120; //!< history kept for refitting
     /**
@@ -50,20 +50,16 @@ class ArimaPredictor : public Predictor
     double predictNext() override;
     void reset() override;
 
-    const ArimaConfig &config() const { return config_; }
-
   private:
-    /** Difference a series @p d times. */
-    static std::vector<double> difference(const std::vector<double> &y,
-                                          std::size_t d);
     void refit();
 
     ArimaConfig config_;
     std::vector<double> history_;
-    std::vector<double> ar_coeffs_; //!< phi_1..phi_p
-    std::vector<double> ma_coeffs_; //!< theta_1..theta_q
-    std::vector<double> residuals_; //!< innovations of the last fit
-    double intercept_ = 0.0;
+    // Refit scratch, reused so that a warm refit allocates nothing.
+    std::vector<double> diff_;        //!< first differences of history_
+    std::vector<double> innovations_; //!< stage-1 shocks of the last fit
+    std::vector<double> aug_;         //!< augmented normal equations
+    std::vector<double> coeffs_; //!< intercept, phi_1..phi_p, theta_1..theta_q
     bool fitted_ = false;
     std::size_t since_refit_ = 0;
 };

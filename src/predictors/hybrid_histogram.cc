@@ -10,7 +10,7 @@ namespace iceb::predictors
 
 HybridHistogram::HybridHistogram(HybridHistogramConfig config)
     : config_(config), bins_(config.max_idle_minutes + 1, 0),
-      arima_(ArimaConfig{2, 1, 1, 64, 1})
+      arima_(ArimaConfig{.p = 2, .q = 1, .window = 64, .refit_every = 1})
 {
     ICEB_ASSERT(config_.max_idle_minutes >= 2, "histogram range too small");
 }

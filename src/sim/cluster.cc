@@ -192,7 +192,6 @@ ClusterState::createContainer(FunctionId fn, Tier tier, ServerId server,
 void
 ClusterState::scheduleExpiry(Container &c)
 {
-    ++c.expiry_token;
     const std::uint64_t stamp = ++next_expiry_stamp_;
     expiry_stamps_[SlotMap<Container>::slotOf(c.id)] = stamp;
     Event event;
@@ -397,7 +396,7 @@ ClusterState::acquireWarm(FunctionId fn, const std::array<Tier, 2> &order)
         c.state = ContainerState::Running;
         c.prewarmed_unused = false;
         c.last_used = now_;
-        ++c.expiry_token; // cancel any pending expiry
+        // Cancel any pending expiry.
         expiry_stamps_[SlotMap<Container>::slotOf(c.id)] = 0;
         return Acquisition{c.id, c.tier, now_, false};
     }
@@ -425,7 +424,6 @@ ClusterState::acquireSetup(FunctionId fn, const std::array<Tier, 2> &order)
         c.state = ContainerState::Running;
         c.prewarmed_unused = false;
         c.last_used = now_;
-        ++c.expiry_token;
         expiry_stamps_[SlotMap<Container>::slotOf(c.id)] = 0;
         const bool still_cold = c.ready_at > now_;
         return Acquisition{c.id, c.tier, std::max(c.ready_at, now_),

@@ -76,7 +76,6 @@ struct Container
     TimeMs idle_since = 0;  //!< start of the current idle period
     TimeMs expiry = 0;      //!< keep-alive deadline while idle
     TimeMs last_used = 0;   //!< last execution start (or ready time)
-    std::uint64_t expiry_token = 0; //!< invalidates stale expiry events
     bool prewarmed_unused = false;  //!< warmed by policy, not yet used
 
     /** Intrusive idle/setup pool links (slot indices). */
@@ -208,9 +207,6 @@ class ClusterState : public WarmupInterface
     {
         containers_.prefetch(SlotMap<Container>::slotOf(id));
     }
-
-    /** Live container count (all states). */
-    std::size_t liveContainers() const { return containers_.size(); }
 
     /** Live containers (any state) of one function. */
     std::uint32_t liveCount(FunctionId fn) const

@@ -162,11 +162,18 @@ AzureCsvRowStream::next(FunctionRow &row)
     row.memory_mb = options_.default_memory_mb;
     row.avg_exec_ms = options_.default_exec_ms;
     // Optional numeric metadata: col 1 = memory MB, col 2 = avg
-    // execution ms (the layout writeAzureCsv produces).
-    if (options_.metadata_columns >= 2 && !fields_[1].empty())
+    // execution ms (the layout writeAzureCsv produces). 0 means
+    // unknown (the profile matcher substitutes its defaults).
+    if (options_.metadata_columns >= 2 && !fields_[1].empty()) {
         row.memory_mb = fieldToInt(1, "memory column value");
-    if (options_.metadata_columns >= 3 && !fields_[2].empty())
+        if (row.memory_mb < 0)
+            failAt(1, "negative memory column value");
+    }
+    if (options_.metadata_columns >= 3 && !fields_[2].empty()) {
         row.avg_exec_ms = fieldToInt(2, "exec-time column value");
+        if (row.avg_exec_ms < 0)
+            failAt(2, "negative exec-time column value");
+    }
 
     counts_.resize(minute_columns_);
     for (std::size_t i = 0; i < minute_columns_; ++i) {

@@ -90,12 +90,6 @@ class AzureCsvRowStream final : public FunctionRowSource
     TimeMs intervalMs() const override;
     bool next(FunctionRow &row) override;
 
-    /** Data rows emitted so far. */
-    std::size_t rowsRead() const { return rows_read_; }
-
-    /** Physical line number (1-based) of the last row returned. */
-    std::size_t lineNumber() const { return line_no_; }
-
   private:
     bool nextLine();
     void splitFields();

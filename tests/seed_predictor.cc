@@ -8,7 +8,6 @@
 
 #include "math/fft.hh"
 #include "math/harmonics.hh"
-#include "math/matrix.hh"
 #include "math/polyfit.hh"
 #include "math/stats.hh"
 
@@ -30,18 +29,19 @@ fftReal(const std::vector<double> &data)
     return iceb::math::fft(complex_data);
 }
 
+/** Solve the n x n row-major system a x = b, n = b.size(). */
 std::vector<double>
-solveLinearSystem(const iceb::math::Matrix &a,
+solveLinearSystem(const std::vector<double> &a,
                   const std::vector<double> &b, bool *singular)
 {
-    const std::size_t n = a.rows();
+    const std::size_t n = b.size();
     if (singular)
         *singular = false;
 
     std::vector<std::vector<double>> work(n, std::vector<double>(n + 1));
     for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t c = 0; c < n; ++c)
-            work[r][c] = a.at(r, c);
+            work[r][c] = a[r * n + c];
         work[r][n] = b[r];
     }
 
@@ -85,7 +85,7 @@ polyfitSeries(const std::vector<double> &y, std::size_t degree)
     std::vector<double> x(y.size());
     std::iota(x.begin(), x.end(), 0.0);
 
-    iceb::math::Matrix ata(terms, terms);
+    std::vector<double> ata(terms * terms);
     std::vector<double> aty(terms, 0.0);
     std::vector<double> powers(2 * degree + 1, 0.0);
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -99,7 +99,7 @@ polyfitSeries(const std::vector<double> &y, std::size_t degree)
     }
     for (std::size_t r = 0; r < terms; ++r)
         for (std::size_t c = 0; c < terms; ++c)
-            ata.at(r, c) = powers[r + c];
+            ata[r * terms + c] = powers[r + c];
 
     bool singular = false;
     std::vector<double> coeffs =
@@ -213,7 +213,7 @@ decomposeForExtrapolation(const std::vector<double> &series,
     }
 
     const std::size_t terms = 2 * frequencies.size();
-    iceb::math::Matrix xtx(terms, terms);
+    std::vector<double> xtx(terms * terms, 0.0);
     std::vector<double> xty(terms, 0.0);
     std::vector<double> row(terms, 0.0);
     for (std::size_t t = 0; t < n; ++t) {
@@ -226,11 +226,11 @@ decomposeForExtrapolation(const std::vector<double> &series,
         for (std::size_t a = 0; a < terms; ++a) {
             xty[a] += row[a] * series[t];
             for (std::size_t b = 0; b < terms; ++b)
-                xtx.at(a, b) += row[a] * row[b];
+                xtx[a * terms + b] += row[a] * row[b];
         }
     }
     for (std::size_t a = 0; a < terms; ++a)
-        xtx.at(a, a) += 1e-9;
+        xtx[a * terms + a] += 1e-9;
     bool singular = false;
     const std::vector<double> coeffs =
         seed::solveLinearSystem(xtx, xty, &singular);

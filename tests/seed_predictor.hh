@@ -4,13 +4,14 @@
  * an independent reference for FftPredictorTest.MatchesSeedPredictor.
  *
  * The pipeline: an erase-from-front window; a quadratic trend from
- * Matrix normal equations solved by Gaussian elimination with partial
- * pivoting; the detrended window's spectrum; peak picking with
- * log-parabola refinement; and a least-squares refit at the refined
- * frequencies over a design matrix summed term by term. The spectrum
- * is math::fft of the window widened to complex values. The seed's
- * own FFT (bitReverse, fftPow2Impl, bluestein, fft) was that function
- * verbatim, and FftLengthTest and FftPlanTest pin it.
+ * row-major normal equations solved by the reference's own Gaussian
+ * elimination with partial pivoting; the detrended window's spectrum;
+ * peak picking with log-parabola refinement; and a least-squares
+ * refit at the refined frequencies over a design matrix summed term
+ * by term. The spectrum is math::fft of the window widened to complex
+ * values. The seed's own FFT (bitReverse, fftPow2Impl, bluestein,
+ * fft) was that function's forward path verbatim, and FftLengthTest
+ * and FftPlanTest pin it.
  *
  * The reference calls none of the code the test checks: not FftPlan,
  * polyfitSeries, solveLinearSystemInPlace, FactoredSystem,

@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit and property tests for the math substrate: matrices, linear
- * solving, polynomial fitting, the harmonic least-squares fit and
- * statistics.
+ * Unit and property tests for the math substrate: linear solving,
+ * polynomial fitting, the harmonic least-squares fit and statistics.
  */
 
 #include <gtest/gtest.h>
@@ -23,59 +22,31 @@ namespace
 
 using namespace iceb::math;
 
-// ---------------------------------------------------------------- Matrix
+// ---------------------------------------------------------- Linear solve
 
-TEST(MatrixTest, IdentityMultiplication)
+/**
+ * The n x (n + 1) augmented system [a | b] of the n x n row-major
+ * matrix @p a, the layout solveLinearSystemInPlace takes.
+ */
+std::vector<double>
+augmented(const std::vector<double> &a, const std::vector<double> &b)
 {
-    const Matrix m = Matrix::fromRows({{1, 2}, {3, 4}});
-    const Matrix i = Matrix::identity(2);
-    const Matrix out = m.multiply(i);
-    EXPECT_DOUBLE_EQ(out.at(0, 0), 1.0);
-    EXPECT_DOUBLE_EQ(out.at(0, 1), 2.0);
-    EXPECT_DOUBLE_EQ(out.at(1, 0), 3.0);
-    EXPECT_DOUBLE_EQ(out.at(1, 1), 4.0);
-}
-
-TEST(MatrixTest, ProductShapeAndValues)
-{
-    const Matrix a = Matrix::fromRows({{1, 2, 3}, {4, 5, 6}});
-    const Matrix b = Matrix::fromRows({{7, 8}, {9, 10}, {11, 12}});
-    const Matrix c = a.multiply(b);
-    ASSERT_EQ(c.rows(), 2u);
-    ASSERT_EQ(c.cols(), 2u);
-    EXPECT_DOUBLE_EQ(c.at(0, 0), 58.0);
-    EXPECT_DOUBLE_EQ(c.at(0, 1), 64.0);
-    EXPECT_DOUBLE_EQ(c.at(1, 0), 139.0);
-    EXPECT_DOUBLE_EQ(c.at(1, 1), 154.0);
-}
-
-TEST(MatrixTest, TransposeRoundTrip)
-{
-    const Matrix a = Matrix::fromRows({{1, 2, 3}, {4, 5, 6}});
-    const Matrix t = a.transposed();
-    ASSERT_EQ(t.rows(), 3u);
-    ASSERT_EQ(t.cols(), 2u);
-    const Matrix back = t.transposed();
-    for (std::size_t r = 0; r < 2; ++r)
-        for (std::size_t c = 0; c < 3; ++c)
-            EXPECT_DOUBLE_EQ(back.at(r, c), a.at(r, c));
-}
-
-TEST(MatrixTest, MatrixVectorProduct)
-{
-    const Matrix a = Matrix::fromRows({{2, 0}, {1, 3}});
-    const std::vector<double> v{1.0, 2.0};
-    const std::vector<double> out = a.multiply(v);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_DOUBLE_EQ(out[0], 2.0);
-    EXPECT_DOUBLE_EQ(out[1], 7.0);
+    const std::size_t n = b.size();
+    std::vector<double> aug(n * (n + 1));
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c)
+            aug[r * (n + 1) + c] = a[r * n + c];
+        aug[r * (n + 1) + n] = b[r];
+    }
+    return aug;
 }
 
 TEST(MatrixTest, SolveKnownSystem)
 {
-    const Matrix a = Matrix::fromRows({{2, 1}, {1, 3}});
-    const std::vector<double> b{5.0, 10.0};
-    const std::vector<double> x = solveLinearSystem(a, b);
+    std::vector<double> aug = augmented({2, 1, 1, 3}, {5.0, 10.0});
+    std::vector<double> x;
+    solveLinearSystemInPlace(aug, 2, x);
+    ASSERT_EQ(x.size(), 2u);
     EXPECT_NEAR(x[0], 1.0, 1e-9);
     EXPECT_NEAR(x[1], 3.0, 1e-9);
 }
@@ -83,27 +54,23 @@ TEST(MatrixTest, SolveKnownSystem)
 TEST(MatrixTest, SolveRequiresPivoting)
 {
     // Leading zero forces a row swap.
-    const Matrix a = Matrix::fromRows({{0, 1}, {1, 0}});
-    const std::vector<double> b{2.0, 3.0};
-    const std::vector<double> x = solveLinearSystem(a, b);
+    std::vector<double> aug = augmented({0, 1, 1, 0}, {2.0, 3.0});
+    std::vector<double> x;
+    solveLinearSystemInPlace(aug, 2, x);
     EXPECT_NEAR(x[0], 3.0, 1e-12);
     EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(MatrixTest, SolveSingularSetsFlag)
 {
-    const Matrix a = Matrix::fromRows({{1, 2}, {2, 4}});
-    const std::vector<double> b{1.0, 2.0};
+    std::vector<double> aug = augmented({1, 2, 2, 4}, {1.0, 2.0});
+    std::vector<double> x{7.0};
     bool singular = false;
-    const std::vector<double> x = solveLinearSystem(a, b, &singular);
+    solveLinearSystemInPlace(aug, 2, x, &singular);
     EXPECT_TRUE(singular);
-    EXPECT_EQ(x.size(), 2u);
-}
-
-TEST(MatrixTest, DotProduct)
-{
-    EXPECT_DOUBLE_EQ(dot({1, 2, 3}, {4, 5, 6}), 32.0);
-    EXPECT_DOUBLE_EQ(dot({}, {}), 0.0);
+    ASSERT_EQ(x.size(), 2u);
+    EXPECT_EQ(x[0], 0.0);
+    EXPECT_EQ(x[1], 0.0);
 }
 
 /** Random solvable systems: A*x recovered within tolerance. */
@@ -114,18 +81,24 @@ class SolveSizeTest : public ::testing::TestWithParam<std::size_t>
 TEST_P(SolveSizeTest, RecoversPlantedSolution)
 {
     const std::size_t n = GetParam();
-    Matrix a(n, n);
+    std::vector<double> a(n * n);
     std::vector<double> planted(n);
     // Diagonally dominant (guaranteed non-singular).
     for (std::size_t r = 0; r < n; ++r) {
         planted[r] = static_cast<double>(r) - 1.5;
         for (std::size_t c = 0; c < n; ++c)
-            a.at(r, c) = (r == c)
+            a[r * n + c] = (r == c)
                 ? 10.0 + static_cast<double>(r)
                 : std::sin(static_cast<double>(r * 7 + c));
     }
-    const std::vector<double> b = a.multiply(planted);
-    const std::vector<double> x = solveLinearSystem(a, b);
+    std::vector<double> b(n, 0.0);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c)
+            b[r] += a[r * n + c] * planted[c];
+    std::vector<double> aug = augmented(a, b);
+    std::vector<double> x;
+    solveLinearSystemInPlace(aug, n, x);
+    ASSERT_EQ(x.size(), n);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(x[i], planted[i], 1e-8);
 }
@@ -139,22 +112,25 @@ TEST(SpdSolveTest, RecoversPlantedSolution)
 {
     for (const std::size_t n : {1u, 2u, 5u, 20u}) {
         // A = B^T B + n I is symmetric positive definite.
-        Matrix b(n, n);
+        std::vector<double> b(n * n);
         for (std::size_t r = 0; r < n; ++r)
             for (std::size_t c = 0; c < n; ++c)
-                b.at(r, c) = std::sin(static_cast<double>(r * 5 + c + 1));
-        Matrix a = b.transposed().multiply(b);
+                b[r * n + c] = std::sin(static_cast<double>(r * 5 + c + 1));
+        std::vector<double> a(n * n, 0.0);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+                for (std::size_t k = 0; k < n; ++k)
+                    a[r * n + c] += b[k * n + r] * b[k * n + c];
         std::vector<double> planted(n);
         for (std::size_t i = 0; i < n; ++i) {
-            a.at(i, i) += static_cast<double>(n);
+            a[i * n + i] += static_cast<double>(n);
             planted[i] = 0.5 * static_cast<double>(i) - 1.0;
         }
-        std::vector<double> x = a.multiply(planted);
-        std::vector<double> flat(n * n);
+        std::vector<double> x(n, 0.0);
         for (std::size_t r = 0; r < n; ++r)
             for (std::size_t c = 0; c < n; ++c)
-                flat[r * n + c] = a.at(r, c);
-        ASSERT_TRUE(solveSpdInPlace(flat.data(), n, x.data()));
+                x[r] += a[r * n + c] * planted[c];
+        ASSERT_TRUE(solveSpdInPlace(a.data(), n, x.data()));
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_NEAR(x[i], planted[i], 1e-10) << "n=" << n;
     }
@@ -182,8 +158,9 @@ directSumFit(const std::vector<double> &series,
              const std::vector<double> &frequencies, bool *singular)
 {
     const std::size_t terms = 2 * frequencies.size();
-    Matrix xtx(terms, terms);
-    std::vector<double> xty(terms, 0.0);
+    const std::size_t stride = terms + 1;
+    // [X^T X | X^T y], row-major.
+    std::vector<double> aug(terms * stride, 0.0);
     std::vector<double> row(terms);
     for (std::size_t t = 0; t < series.size(); ++t) {
         for (std::size_t i = 0; i < frequencies.size(); ++i) {
@@ -193,14 +170,15 @@ directSumFit(const std::vector<double> &series,
             row[2 * i + 1] = std::sin(angle);
         }
         for (std::size_t a = 0; a < terms; ++a) {
-            xty[a] += row[a] * series[t];
+            aug[a * stride + terms] += row[a] * series[t];
             for (std::size_t b = 0; b < terms; ++b)
-                xtx.at(a, b) += row[a] * row[b];
+                aug[a * stride + b] += row[a] * row[b];
         }
     }
     for (std::size_t a = 0; a < terms; ++a)
-        xtx.at(a, a) += 1e-9;
-    const std::vector<double> coeffs = solveLinearSystem(xtx, xty, singular);
+        aug[a * stride + a] += 1e-9;
+    std::vector<double> coeffs;
+    solveLinearSystemInPlace(aug, terms, coeffs, singular);
 
     std::vector<Harmonic> out;
     for (std::size_t i = 0; i < frequencies.size(); ++i) {
@@ -358,15 +336,12 @@ TEST(HarmonicFitTest, FlatTopSplitsAmplitudeLikeDirectSummation)
 TEST(FactoredSystemTest, ReplayMatchesDirectSolveBitwise)
 {
     for (const std::size_t n : {1u, 2u, 3u, 5u, 8u}) {
-        Matrix a(n, n);
         std::vector<double> flat(n * n);
         for (std::size_t r = 0; r < n; ++r) {
             for (std::size_t c = 0; c < n; ++c) {
-                const double v = (r == c)
+                flat[r * n + c] = (r == c)
                     ? 10.0 + static_cast<double>(r)
                     : std::sin(static_cast<double>(r * 7 + c));
-                a.at(r, c) = v;
-                flat[r * n + c] = v;
             }
         }
 
@@ -380,7 +355,9 @@ TEST(FactoredSystemTest, ReplayMatchesDirectSolveBitwise)
                 b[i] = std::cos(static_cast<double>(trial * 11 + i)) *
                     static_cast<double>(i + 1);
             system.solve(b.data(), x.data());
-            const std::vector<double> direct = solveLinearSystem(a, b);
+            std::vector<double> aug = augmented(flat, b);
+            std::vector<double> direct;
+            solveLinearSystemInPlace(aug, n, direct);
             for (std::size_t i = 0; i < n; ++i) {
                 EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
                           std::bit_cast<std::uint64_t>(direct[i]))
@@ -392,7 +369,6 @@ TEST(FactoredSystemTest, ReplayMatchesDirectSolveBitwise)
 
 TEST(FactoredSystemTest, ReplayHandlesPivoting)
 {
-    const Matrix a = Matrix::fromRows({{0, 1}, {1, 0}});
     const std::vector<double> flat{0.0, 1.0, 1.0, 0.0};
     FactoredSystem system;
     system.factor(flat.data(), 2);
@@ -400,7 +376,9 @@ TEST(FactoredSystemTest, ReplayHandlesPivoting)
     const std::vector<double> b{2.0, 3.0};
     std::vector<double> x(2);
     system.solve(b.data(), x.data());
-    const std::vector<double> direct = solveLinearSystem(a, b);
+    std::vector<double> aug = augmented(flat, b);
+    std::vector<double> direct;
+    solveLinearSystemInPlace(aug, 2, direct);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(x[0]),
               std::bit_cast<std::uint64_t>(direct[0]));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(x[1]),
@@ -422,14 +400,14 @@ TEST(FactoredSystemTest, SingularSystemFlagsAndZeroes)
 
 TEST(FactoredSystemTest, SolveInPlaceAliasesRhs)
 {
-    const Matrix a = Matrix::fromRows({{2, 1}, {1, 3}});
     const std::vector<double> flat{2.0, 1.0, 1.0, 3.0};
     FactoredSystem system;
     system.factor(flat.data(), 2);
     std::vector<double> x{5.0, 10.0};
     system.solve(x.data(), x.data());
-    const std::vector<double> direct =
-        solveLinearSystem(a, {5.0, 10.0});
+    std::vector<double> aug = augmented(flat, {5.0, 10.0});
+    std::vector<double> direct;
+    solveLinearSystemInPlace(aug, 2, direct);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(x[0]),
               std::bit_cast<std::uint64_t>(direct[0]));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(x[1]),
@@ -449,12 +427,10 @@ TEST(PolyfitTest, EvaluateHorner)
 
 TEST(PolyfitTest, ExactQuadraticRecovery)
 {
-    std::vector<double> x, y;
-    for (int i = 0; i < 20; ++i) {
-        x.push_back(i);
+    std::vector<double> y;
+    for (int i = 0; i < 20; ++i)
         y.push_back(2.0 * i * i - 3.0 * i + 5.0);
-    }
-    const Polynomial p = polyfit(x, y, 2);
+    const Polynomial p = polyfitSeries(y, 2);
     EXPECT_NEAR(p.coeff(0), 5.0, 1e-6);
     EXPECT_NEAR(p.coeff(1), -3.0, 1e-6);
     EXPECT_NEAR(p.coeff(2), 2.0, 1e-7);
@@ -472,12 +448,16 @@ TEST(PolyfitTest, SeriesFitMatchesExplicitX)
 
 TEST(PolyfitTest, DegenerateXFallsBackToMean)
 {
-    const std::vector<double> x(10, 3.0);
-    std::vector<double> y;
-    for (int i = 0; i < 10; ++i)
-        y.push_back(i);
-    const Polynomial p = polyfit(x, y, 2);
-    EXPECT_NEAR(p.evaluate(3.0), 4.5, 1e-9);
+    // Fewer samples than coefficients make the normal equations
+    // singular; the fit falls back to the samples' mean level.
+    const Polynomial one = polyfitSeries({4.5}, 1);
+    EXPECT_EQ(one.coeff(0), 4.5);
+    EXPECT_EQ(one.coeff(1), 0.0);
+    const Polynomial two = polyfitSeries({3.0, 6.0}, 2);
+    EXPECT_EQ(two.coeff(0), 4.5);
+    EXPECT_EQ(two.coeff(1), 0.0);
+    EXPECT_EQ(two.coeff(2), 0.0);
+    EXPECT_EQ(two.evaluate(7.0), 4.5);
 }
 
 TEST(PolyfitTest, DetrendRemovesTrend)
@@ -494,11 +474,17 @@ TEST(PolyfitTest, DetrendRemovesTrend)
 
 TEST(PolyfitTest, ResidualSumOfSquaresZeroForPerfectFit)
 {
+    // A line is fitted exactly: detrending by the fit leaves residuals
+    // whose sum of squares is zero.
     std::vector<double> y;
     for (int i = 0; i < 12; ++i)
         y.push_back(1.0 + 2.0 * i);
-    const Polynomial trend = polyfitSeries(y, 1);
-    EXPECT_NEAR(residualSumOfSquares(y, trend), 0.0, 1e-9);
+    const std::vector<double> residual = detrend(y, polyfitSeries(y, 1));
+    ASSERT_EQ(residual.size(), y.size());
+    double rss = 0.0;
+    for (const double r : residual)
+        rss += r * r;
+    EXPECT_NEAR(rss, 0.0, 1e-9);
 }
 
 /** polyfitSeries recovers planted polynomials of every degree. */
@@ -560,18 +546,18 @@ TEST(StatsTest, PercentileUnsortedInput)
 
 TEST(StatsTest, MinMaxNormalizeRange)
 {
-    const std::vector<double> v{1.0, 3.0, 5.0};
-    const std::vector<double> n = minMaxNormalize(v);
-    EXPECT_DOUBLE_EQ(n[0], 0.0);
-    EXPECT_DOUBLE_EQ(n[1], 0.5);
-    EXPECT_DOUBLE_EQ(n[2], 1.0);
+    EXPECT_DOUBLE_EQ(minMaxNormalizeValue(1.0, 1.0, 5.0), 0.0);
+    EXPECT_DOUBLE_EQ(minMaxNormalizeValue(3.0, 1.0, 5.0), 0.5);
+    EXPECT_DOUBLE_EQ(minMaxNormalizeValue(5.0, 1.0, 5.0), 1.0);
+    // Values outside the bounds clamp into [0, 1].
+    EXPECT_DOUBLE_EQ(minMaxNormalizeValue(-2.0, 1.0, 5.0), 0.0);
+    EXPECT_DOUBLE_EQ(minMaxNormalizeValue(9.0, 1.0, 5.0), 1.0);
 }
 
 TEST(StatsTest, MinMaxNormalizeConstantIsHalf)
 {
-    const std::vector<double> n = minMaxNormalize({4.0, 4.0, 4.0});
-    for (double v : n)
-        EXPECT_DOUBLE_EQ(v, 0.5);
+    EXPECT_DOUBLE_EQ(minMaxNormalizeValue(4.0, 4.0, 4.0), 0.5);
+    EXPECT_DOUBLE_EQ(minMaxNormalizeValue(7.0, 4.0, 4.0), 0.5);
 }
 
 TEST(StatsTest, CdfLookupAndQuantile)
@@ -582,15 +568,6 @@ TEST(StatsTest, CdfLookupAndQuantile)
     EXPECT_DOUBLE_EQ(cdf.at(99.0), 1.0);
     EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 2.0);
     EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 4.0);
-}
-
-TEST(StatsTest, ErrorMetrics)
-{
-    const std::vector<double> a{1.0, 2.0, 3.0};
-    const std::vector<double> b{2.0, 2.0, 1.0};
-    EXPECT_DOUBLE_EQ(meanAbsoluteError(a, b), 1.0);
-    EXPECT_NEAR(rootMeanSquaredError(a, b), std::sqrt(5.0 / 3.0), 1e-12);
-    EXPECT_DOUBLE_EQ(meanAbsoluteError(a, a), 0.0);
 }
 
 } // namespace

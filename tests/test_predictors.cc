@@ -315,7 +315,8 @@ TEST(ArimaTest, ConstantSeries)
 
 TEST(ArimaTest, LinearTrendViaDifferencing)
 {
-    ArimaPredictor p(ArimaConfig{2, 1, 1, 120, 1});
+    ArimaPredictor p(
+        ArimaConfig{.p = 2, .q = 1, .window = 120, .refit_every = 1});
     for (int t = 0; t < 100; ++t)
         p.observe(2.0 * t);
     EXPECT_NEAR(p.predictNext(), 200.0, 4.0);
@@ -433,6 +434,35 @@ TEST(HybridHistogramTest, OutOfBoundsGapsBreakRepresentativeness)
     for (int i = 0; i < 20; ++i)
         h.observeArrival(i * 500); // 500-minute gaps, all OOB
     EXPECT_FALSE(h.representative());
+}
+
+TEST(HybridHistogramTest, ArimaFallbackCentresWindowOnForecast)
+{
+    // Every gap lies past the 60-minute range, so the histogram is not
+    // representative and the window is centred on the ARIMA forecast
+    // of the next gap: the same forecast a standalone predictor with
+    // the fallback's configuration makes from the same gaps.
+    HybridHistogramConfig config;
+    config.max_idle_minutes = 60;
+    HybridHistogram h(config);
+    ArimaPredictor arima(
+        ArimaConfig{.p = 2, .q = 1, .window = 64, .refit_every = 1});
+    iceb::IntervalIndex t = 0;
+    h.observeArrival(t);
+    for (int i = 0; i < 40; ++i) {
+        const iceb::IntervalIndex gap = 90 + 10 * (i % 3);
+        t += gap;
+        h.observeArrival(t);
+        arima.observe(static_cast<double>(gap));
+    }
+    ASSERT_FALSE(h.representative());
+    const double p = arima.predictNext();
+    EXPECT_GE(p, 90.0);
+    EXPECT_LE(p, 110.0);
+    const IdleWindowForecast f = h.forecast();
+    ASSERT_TRUE(f.usable);
+    EXPECT_EQ(f.head_minutes, 0.85 * p);
+    EXPECT_EQ(f.tail_minutes, 1.3 * p + 1.0);
 }
 
 // ------------------------------------------------------------------ LSTM

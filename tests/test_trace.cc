@@ -447,6 +447,24 @@ TEST(AzureLoaderDeathTest, RejectsNegativeCounts)
         "a,1,1,4294967295\n");
     EXPECT_EQ(loadAzureCsv(largest).function(0).concurrency[0],
               4294967295u);
+    // The memory and exec-time metadata are refused the same way; 0
+    // still loads, meaning "unknown".
+    std::istringstream memory(
+        "name,memory_mb,avg_exec_ms,m1,m2\n"
+        "a,-512,-3,1,2\n");
+    EXPECT_EXIT(loadAzureCsv(memory), ::testing::ExitedWithCode(1),
+                "line 2, column 2: negative memory column value");
+    std::istringstream exec(
+        "name,memory_mb,avg_exec_ms,m1\n"
+        "a,128,-3,1\n");
+    EXPECT_EXIT(loadAzureCsv(exec), ::testing::ExitedWithCode(1),
+                "line 2, column 3: negative exec-time column value");
+    std::istringstream unknown(
+        "name,memory_mb,avg_exec_ms,m1\n"
+        "a,0,0,1\n");
+    const Trace trace = loadAzureCsv(unknown);
+    EXPECT_EQ(trace.function(0).memory_mb, 0);
+    EXPECT_EQ(trace.function(0).avg_exec_ms, 0);
 }
 
 // ------------------------------------------------------------ TraceStats
