@@ -26,7 +26,10 @@
  *   --window N                      FIP window (default 120, non-pow2)
  *   --batch-functions N             fleet size (default 10000, up to 1M)
  *   --batch-intervals N             timed rounds (default 3)
- *   --json PATH                     output path (default BENCH_fip.json)
+ *   --json PATH                     write the JSON report to PATH
+ *                                   (none without it; pass
+ *                                   BENCH_fip.json to regenerate
+ *                                   the committed baseline)
  *   --smoke                         small fleet + correctness gates:
  *                                   exits non-zero if a lane's pool
  *                                   forecast differs from its one-lane
@@ -85,7 +88,7 @@ struct BenchConfig
     std::size_t horizon = 11;
     std::size_t batch_functions = 10000;
     std::size_t batch_intervals = 3;
-    std::string json_path = "BENCH_fip.json";
+    std::string json_path; //!< empty: no JSON report
     std::string baseline_path;
     bool smoke = false;
 };
@@ -483,8 +486,10 @@ main(int argc, char **argv)
                 batch.exact_diff, batch.exact_bit_mismatches,
                 batch.steady_allocs);
 
-    writeJson(cfg, batch);
-    std::printf("  wrote %s\n", cfg.json_path.c_str());
+    if (!cfg.json_path.empty()) {
+        writeJson(cfg, batch);
+        std::printf("  wrote %s\n", cfg.json_path.c_str());
+    }
 
     if (cfg.smoke) {
         // Correctness gates only; absolute timings vary with the CI

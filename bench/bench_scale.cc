@@ -27,7 +27,10 @@
  *   --functions N / --intervals N   workload size (default 100000 x
  *                                   1440: one synthetic Azure day)
  *   --repeats R                     timed runs per engine (default 3)
- *   --json PATH                     output (default BENCH_scale.json)
+ *   --json PATH                     write the JSON report to PATH
+ *                                   (none without it; pass
+ *                                   BENCH_scale.json to regenerate
+ *                                   the committed baseline)
  *   --smoke                         small workload + forced spill;
  *                                   correctness gates only
  *   --baseline PATH                 gate against the committed
@@ -85,7 +88,7 @@ struct BenchConfig
     std::size_t num_functions = 100'000;
     std::size_t num_intervals = 1440; //!< one day of 1-minute slots
     std::size_t repeats = 3;
-    std::string json_path = "BENCH_scale.json";
+    std::string json_path; //!< empty: no JSON report
     std::string baseline_path;
     bool smoke = false;
 };
@@ -587,10 +590,12 @@ main(int argc, char **argv)
     std::printf("fixed row (%zux%zu, icebreaker, streamed): digest %s\n",
                 kFixedFunctions, kFixedIntervals, fixed_digest.c_str());
 
-    writeJson(cfg, arrivals, invocations, events, csv, stream_ingest,
-              spill_runs, spilled_bytes, materialize, streamed,
-              materialized, agree, hinted_allocs, fixed_digest);
-    std::printf("wrote %s\n", cfg.json_path.c_str());
+    if (!cfg.json_path.empty()) {
+        writeJson(cfg, arrivals, invocations, events, csv, stream_ingest,
+                  spill_runs, spilled_bytes, materialize, streamed,
+                  materialized, agree, hinted_allocs, fixed_digest);
+        std::printf("wrote %s\n", cfg.json_path.c_str());
+    }
 
     // ------------------------------------------------------------ gates
     if (!agree) {

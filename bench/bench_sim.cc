@@ -18,7 +18,10 @@
  * Flags:
  *   --functions N / --intervals N   workload size (default 64 x 120)
  *   --repeats R                     timed runs per core (default 5)
- *   --json PATH                     output path (default BENCH_sim.json)
+ *   --json PATH                     write the JSON report to PATH
+ *                                   (none without it; pass
+ *                                   BENCH_sim.json to regenerate
+ *                                   the committed baseline)
  *   --smoke                         tiny workload + correctness gates:
  *                                   exits non-zero if the cores
  *                                   disagree or the hinted run
@@ -94,7 +97,7 @@ struct BenchConfig
     std::size_t num_functions = 64;
     std::size_t num_intervals = 120; // 2 hours of 1-minute slots
     std::size_t repeats = 5;
-    std::string json_path = "BENCH_sim.json";
+    std::string json_path; //!< empty: no JSON report
     std::string baseline_path;
     bool smoke = false;
 };
@@ -592,10 +595,12 @@ main(int argc, char **argv)
                 kFixedFunctions, kFixedIntervals,
                 fixed.metrics_digest.c_str());
 
-    writeJson(cfg, events, invocations, legacy_timing, live_timing,
-              agree, calib_allocs, hinted_allocs, hinted_hist_allocs,
-              live_metrics.event_loop, fixed, telemetry);
-    std::printf("wrote %s\n", cfg.json_path.c_str());
+    if (!cfg.json_path.empty()) {
+        writeJson(cfg, events, invocations, legacy_timing, live_timing,
+                  agree, calib_allocs, hinted_allocs, hinted_hist_allocs,
+                  live_metrics.event_loop, fixed, telemetry);
+        std::printf("wrote %s\n", cfg.json_path.c_str());
+    }
 
     if (!agree) {
         std::fprintf(stderr, "FAIL: legacy and live metrics differ\n");

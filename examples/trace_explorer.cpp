@@ -3,10 +3,11 @@
  * Trace explorer: characterise a serverless invocation trace the way
  * Sec. 2/3 of the paper does -- periodicity census, harmonic counts,
  * inter-arrival statistics and per-class breakdowns. Run it on the
- * bundled synthetic generator, or point it at a real Azure-format
- * CSV:
+ * bundled synthetic generator, or point it at a published Azure
+ * invocations file (or any CSV whose header ends in the minute
+ * columns 1 ... N):
  *
- *   ./trace_explorer [azure_trace.csv]
+ *   ./trace_explorer [invocations_per_function_md.anon.d01.csv]
  */
 
 #include <algorithm>

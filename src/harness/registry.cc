@@ -38,14 +38,12 @@ PolicyRegistry::PolicyRegistry()
 }
 
 void
-PolicyRegistry::add(const std::string &name, PolicyFactory factory,
-                    bool replace)
+PolicyRegistry::add(const std::string &name, PolicyFactory factory)
 {
     ICEB_ASSERT(factory != nullptr, "null policy factory");
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!replace && factories_.count(name) != 0)
+    if (!factories_.emplace(name, std::move(factory)).second)
         fatal("policy '", name, "' is already registered");
-    factories_[name] = std::move(factory);
 }
 
 void
@@ -107,11 +105,10 @@ makeDecisionEngineByName(const std::string &name)
 }
 
 ScopedPolicyRegistration::ScopedPolicyRegistration(std::string name,
-                                                   PolicyFactory factory,
-                                                   bool replace)
+                                                   PolicyFactory factory)
     : name_(std::move(name))
 {
-    PolicyRegistry::instance().add(name_, std::move(factory), replace);
+    PolicyRegistry::instance().add(name_, std::move(factory));
 }
 
 ScopedPolicyRegistration::~ScopedPolicyRegistration()

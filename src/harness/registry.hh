@@ -51,10 +51,9 @@ class PolicyRegistry
 
     /**
      * Register @p factory under @p name. Registering an existing name
-     * is a user error unless @p replace is set.
+     * is a user error.
      */
-    void add(const std::string &name, PolicyFactory factory,
-             bool replace = false);
+    void add(const std::string &name, PolicyFactory factory);
 
     /** Remove a registered name (no-op for unknown names). */
     void remove(const std::string &name);
@@ -96,8 +95,7 @@ makeDecisionEngineByName(const std::string &name);
 class ScopedPolicyRegistration
 {
   public:
-    ScopedPolicyRegistration(std::string name, PolicyFactory factory,
-                             bool replace = false);
+    ScopedPolicyRegistration(std::string name, PolicyFactory factory);
     ~ScopedPolicyRegistration();
 
     ScopedPolicyRegistration(const ScopedPolicyRegistration &) = delete;

@@ -55,7 +55,7 @@ namedHistograms(const HistogramSet &set)
         out.push_back({"wait_queue_ms", tier, &set.wait_queue_ms[t]});
     }
     out.push_back({"decision_wall_us", "", &set.decision_wall_us});
-    out.push_back({"forecast_wall_us", "", &set.forecast_wall_us});
+    out.push_back({"observe_wall_us", "", &set.observe_wall_us});
     return out;
 }
 

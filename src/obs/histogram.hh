@@ -133,8 +133,9 @@ class LatencyHistogram
 
 /**
  * The fixed family of per-run histograms. Latency series are per tier
- * in simulated milliseconds; the decision/forecast timers are
- * wall-clock microseconds around the policy's interval hooks and are
+ * in simulated milliseconds; the observe and decision timers are
+ * wall-clock microseconds around the policy's interval hooks
+ * (onIntervalObserved and onIntervalStart respectively) and are
  * only populated when `wall_timing` is on (wall time is inherently
  * non-deterministic, so deterministic exports keep it off — the
  * exporters skip empty histograms, preserving byte-identity).
@@ -145,7 +146,7 @@ struct HistogramSet
     std::array<LatencyHistogram, kNumTiers> setup_attach_ms;
     std::array<LatencyHistogram, kNumTiers> wait_queue_ms;
     LatencyHistogram decision_wall_us;
-    LatencyHistogram forecast_wall_us;
+    LatencyHistogram observe_wall_us;
 
     /** Measure wall time around interval hooks (non-deterministic). */
     bool wall_timing = false;

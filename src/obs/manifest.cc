@@ -4,8 +4,6 @@
 #include <cstring>
 #include <ostream>
 
-#include "obs/trace_sink.hh" // ICEB_OBS_TRACING
-
 namespace iceb::obs
 {
 
@@ -67,7 +65,6 @@ BuildInfo currentBuildInfo()
 #ifdef NDEBUG
     info.optimized = true;
 #endif
-    info.tracing = ICEB_OBS_TRACING != 0;
     return info;
 }
 
@@ -111,11 +108,9 @@ void writeManifestLine(std::ostream &out, const RunManifest &m)
                       m.workload_invocations));
     line += buf;
     std::snprintf(buf, sizeof(buf),
-                  "\"build\":{\"compiler\":\"%s\",\"optimized\":%s,"
-                  "\"tracing\":%s},",
+                  "\"build\":{\"compiler\":\"%s\",\"optimized\":%s},",
                   jsonEscaped(build.compiler).c_str(),
-                  build.optimized ? "true" : "false",
-                  build.tracing ? "true" : "false");
+                  build.optimized ? "true" : "false");
     line += buf;
     line += "\"metrics\":{";
     for (std::size_t i = 0; i < m.metrics.size(); ++i) {

@@ -85,7 +85,6 @@ struct BuildInfo
 {
     std::string compiler;    //!< __VERSION__
     bool optimized = false;  //!< NDEBUG set
-    bool tracing = false;    //!< ICEB_OBS_TRACING compiled in
 };
 
 /** Build info of the current binary. */

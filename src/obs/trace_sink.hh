@@ -13,10 +13,8 @@
  *    events than the ring holds, the oldest are overwritten and
  *    counted in dropped(). Capacity is fixed at construction, so a
  *    traced run still performs zero steady-state allocations.
- *  - Instrumentation sites use the ICEB_TRACE macro, which compiles
- *    to nothing when ICEB_OBS_TRACING is 0 (CMake option
- *    ICEBREAKER_OBS_TRACING=OFF) and to a single predictable
- *    null-pointer test when no sink is attached.
+ *  - Instrumentation sites use the ICEB_TRACE macro, which costs a
+ *    single predictable null-pointer test when no sink is attached.
  *
  * Timestamps are simulated milliseconds (the simulator's clock), not
  * wall time; the Chrome exporter scales them to microseconds, the
@@ -33,15 +31,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-/**
- * Compile-time master switch for the tracing macro. Defined (0/1) on
- * the command line by CMake; defaults to "compiled in" so non-CMake
- * consumers of the headers get working tracing.
- */
-#ifndef ICEB_OBS_TRACING
-#define ICEB_OBS_TRACING 1
-#endif
 
 namespace iceb::obs
 {
@@ -185,10 +174,9 @@ void writeChromeTrace(std::ostream &out,
 
 /**
  * Record a trace event through a TraceSink pointer (null = tracing
- * off for this run). Compiles to nothing — argument expressions are
- * type-checked but never evaluated — when ICEB_OBS_TRACING is 0.
+ * off for this run). The argument expressions are evaluated only when
+ * a sink is attached.
  */
-#if ICEB_OBS_TRACING
 #define ICEB_TRACE(sink, kind, time, fn, tier, cause, arg)              \
     do {                                                                \
         if (sink) {                                                     \
@@ -196,14 +184,5 @@ void writeChromeTrace(std::ostream &out,
                            (arg));                                      \
         }                                                               \
     } while (0)
-#else
-#define ICEB_TRACE(sink, kind, time, fn, tier, cause, arg)              \
-    do {                                                                \
-        if (false) {                                                    \
-            (sink)->record((kind), (time), (fn), (tier), (cause),       \
-                           (arg));                                      \
-        }                                                               \
-    } while (0)
-#endif
 
 #endif // ICEB_OBS_TRACE_SINK_HH

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-
 namespace iceb::predictors
 {
 
-HybridHistogram::HybridHistogram(HybridHistogramConfig config)
-    : config_(config), bins_(config.max_idle_minutes + 1, 0),
+HybridHistogram::HybridHistogram()
+    : bins_(kMaxIdleMinutes + 1, 0),
       arima_(ArimaConfig{.p = 2, .q = 1, .window = 64, .refit_every = 1})
 {
-    ICEB_ASSERT(config_.max_idle_minutes >= 2, "histogram range too small");
 }
 
 void
@@ -22,8 +19,7 @@ HybridHistogram::observeArrival(IntervalIndex interval)
         const IntervalIndex gap = interval - *last_arrival_;
         if (gap >= 1) {
             ++total_samples_;
-            if (static_cast<std::size_t>(gap) <=
-                config_.max_idle_minutes) {
+            if (static_cast<std::size_t>(gap) <= kMaxIdleMinutes) {
                 ++bins_[static_cast<std::size_t>(gap)];
             } else {
                 ++oob_samples_;
@@ -40,7 +36,7 @@ HybridHistogram::representative() const
     // Out-of-bounds tolerance and coefficient-of-variation gate.
     constexpr double kMaxOobFraction = 0.5;
     constexpr double kMaxCv = 2.0;
-    if (total_samples_ < config_.min_samples)
+    if (total_samples_ < kMinSamples)
         return false;
     const double oob = static_cast<double>(oob_samples_) /
         static_cast<double>(total_samples_);
@@ -92,7 +88,7 @@ HybridHistogram::quantileMinutes(double q) const
         if (cumulative >= target)
             return static_cast<double>(m);
     }
-    return static_cast<double>(config_.max_idle_minutes);
+    return static_cast<double>(kMaxIdleMinutes);
 }
 
 IdleWindowForecast
@@ -122,8 +118,7 @@ HybridHistogram::forecast()
     if (total_samples_ >= 4) {
         const double predicted = arima_.predictNext();
         if (predicted > 0.0 &&
-            predicted <=
-                2.0 * static_cast<double>(config_.max_idle_minutes)) {
+            predicted <= 2.0 * static_cast<double>(kMaxIdleMinutes)) {
             out.usable = true;
             out.head_minutes = std::max(0.0, 0.85 * predicted);
             out.tail_minutes = 1.3 * predicted + 1.0;

@@ -24,17 +24,6 @@
 namespace iceb::predictors
 {
 
-/**
- * Hybrid-histogram configuration (defaults follow the ATC'20 paper;
- * the quantiles and the other gates are constants in
- * hybrid_histogram.cc).
- */
-struct HybridHistogramConfig
-{
-    std::size_t max_idle_minutes = 240; //!< histogram range (4 hours)
-    std::size_t min_samples = 8;        //!< representativeness gate
-};
-
 /** What the hybrid scheme recommends for the next idle period. */
 struct IdleWindowForecast
 {
@@ -44,12 +33,20 @@ struct IdleWindowForecast
 };
 
 /**
- * Per-function hybrid histogram state.
+ * Per-function hybrid histogram state. The range and the sample gate
+ * follow the ATC'20 paper; the quantiles and the other gates are
+ * constants in hybrid_histogram.cc.
  */
 class HybridHistogram
 {
   public:
-    explicit HybridHistogram(HybridHistogramConfig config = {});
+    /** Histogram range: idle times up to 4 hours fall in a bin. */
+    static constexpr std::size_t kMaxIdleMinutes = 240;
+
+    /** Samples needed before the histogram can be representative. */
+    static constexpr std::size_t kMinSamples = 8;
+
+    HybridHistogram();
 
     /**
      * Record an invocation at the given interval index; idle time is
@@ -73,7 +70,6 @@ class HybridHistogram
     double histogramMean() const;
     double histogramStddev() const;
 
-    HybridHistogramConfig config_;
     std::vector<std::uint32_t> bins_; //!< bins_[m] = count of m-minute idles
     std::size_t total_samples_ = 0;
     std::size_t oob_samples_ = 0;

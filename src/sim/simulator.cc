@@ -200,7 +200,7 @@ Simulator::stepImpl(EventLoopStats &stats)
                 if (wall) {
                     const auto t0 = std::chrono::steady_clock::now();
                     policy_.onIntervalObserved(closed);
-                    hists_->forecast_wall_us.record(wallUsSince(t0));
+                    hists_->observe_wall_us.record(wallUsSince(t0));
                 } else {
                     policy_.onIntervalObserved(closed);
                 }

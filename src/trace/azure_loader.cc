@@ -39,19 +39,19 @@ materializeRows(AzureCsvRowStream &rows, const std::string &source_name)
 } // namespace
 
 Trace
-loadAzureCsv(std::istream &in, const AzureLoadOptions &options)
+loadAzureCsv(std::istream &in)
 {
-    AzureCsvRowStream rows(in, options);
+    AzureCsvRowStream rows(in);
     return materializeRows(rows, "Azure CSV");
 }
 
 Trace
-loadAzureCsvFile(const std::string &path, const AzureLoadOptions &options)
+loadAzureCsvFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         fatal("cannot open Azure trace file '", path, "'");
-    AzureCsvRowStream rows(in, options, path);
+    AzureCsvRowStream rows(in, path);
     return materializeRows(rows, path);
 }
 
@@ -61,7 +61,7 @@ writeAzureCsv(std::ostream &out, const Trace &trace)
     CsvWriter writer(out);
     CsvRow header = {"name", "memory_mb", "avg_exec_ms"};
     for (std::size_t i = 1; i <= trace.numIntervals(); ++i)
-        header.push_back("m" + std::to_string(i));
+        header.push_back(std::to_string(i));
     writer.writeRow(header);
 
     for (const auto &fn : trace.functions()) {

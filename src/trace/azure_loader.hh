@@ -4,10 +4,12 @@
  *
  * The paper drives its evaluation with the public Azure Functions
  * trace (Shahrad et al., ATC'20). That dataset is not bundled here,
- * but this loader accepts its published invocation-counts schema --
- * metadata columns followed by 1440 per-minute invocation counts per
- * day file -- so the real trace can be substituted for the synthetic
- * generator without code changes.
+ * but this loader reads its published invocations files as they are
+ * (HashOwner, HashApp, HashFunction and Trigger, then the minute
+ * columns 1 ... 1440 of one day), so the real trace can be substituted
+ * for the synthetic generator without code changes. Those files carry
+ * no memory or execution-time hints, so their functions load with
+ * both hints unknown (0).
  */
 
 #ifndef ICEB_TRACE_AZURE_LOADER_HH
@@ -21,39 +23,21 @@
 namespace iceb::trace
 {
 
-/** Options controlling Azure CSV ingestion. */
-struct AzureLoadOptions
-{
-    /** Number of leading metadata columns before the minute counts. */
-    std::size_t metadata_columns = 3;
-
-    /** Whether the first row is a header to skip. */
-    bool has_header = true;
-
-    /** Cap on functions to load (0 = all). */
-    std::size_t max_functions = 0;
-
-    /** Default memory hint when the CSV carries none. */
-    MemoryMb default_memory_mb = 512;
-
-    /** Default execution-time hint when the CSV carries none. */
-    TimeMs default_exec_ms = 1000;
-};
-
 /**
- * Parse an Azure-style invocation-counts CSV from a stream. Each data
- * row is: <metadata columns...>, count_minute_1, ..., count_minute_N.
- * All rows must carry the same number of minute columns.
+ * Parse an Azure-style invocation-counts CSV from a stream. The header
+ * row decides the layout (see AzureCsvRowStream): the minute columns
+ * are its trailing fields 1, 2, ..., N, and every data row carries
+ * one count per minute column.
  */
-Trace loadAzureCsv(std::istream &in, const AzureLoadOptions &options = {});
+Trace loadAzureCsv(std::istream &in);
 
-/** Convenience overload reading from a file path; fatal() if absent. */
-Trace loadAzureCsvFile(const std::string &path,
-                       const AzureLoadOptions &options = {});
+/** loadAzureCsv on the file at @p path; fatal() if it cannot be opened. */
+Trace loadAzureCsvFile(const std::string &path);
 
 /**
- * Serialise a trace back to the same CSV schema (metadata columns:
- * name, memory_mb, avg_exec_ms). Round-trips with loadAzureCsv.
+ * Serialise a trace back to the same CSV schema (metadata columns
+ * name, memory_mb and avg_exec_ms, then minute columns 1 ... N).
+ * Round-trips with loadAzureCsv.
  */
 void writeAzureCsv(std::ostream &out, const Trace &trace);
 

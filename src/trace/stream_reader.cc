@@ -1,5 +1,6 @@
 #include "trace/stream_reader.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <limits>
 #include <cstring>
@@ -10,13 +11,52 @@
 namespace iceb::trace
 {
 
-AzureCsvRowStream::AzureCsvRowStream(std::istream &in,
-                                     AzureLoadOptions options,
-                                     std::string source_name,
-                                     std::size_t buffer_bytes)
-    : in_(in), options_(options), source_name_(std::move(source_name)),
-      buffer_(buffer_bytes > 0 ? buffer_bytes : 1)
+namespace
 {
+
+/** Size of the fixed read buffer. */
+constexpr std::size_t kBufferBytes = 256 * 1024;
+
+} // namespace
+
+AzureCsvRowStream::AzureCsvRowStream(std::istream &in,
+                                     std::string source_name)
+    : in_(in), source_name_(std::move(source_name)), buffer_(kBufferBytes)
+{
+    readHeader();
+}
+
+void
+AzureCsvRowStream::readHeader()
+{
+    if (!nextLine())
+        fatal(source_name_, " is empty");
+    splitFields();
+    // The minute columns are the trailing fields 1, 2, ..., N; every
+    // field before them is metadata.
+    const auto first = std::find(fields_.begin(), fields_.end(), "1");
+    if (first == fields_.end())
+        failAt(fields_.size(), "header has no minute columns 1, 2, ...");
+    first_minute_ = static_cast<std::size_t>(first - fields_.begin());
+    minute_columns_ = fields_.size() - first_minute_;
+    for (std::size_t i = 1; i < minute_columns_; ++i) {
+        const std::string expected = std::to_string(i + 1);
+        const std::string_view field = fields_[first_minute_ + i];
+        if (field != expected) {
+            failAt(first_minute_ + i,
+                   "minute column '" + std::string(field) +
+                       "' out of sequence, expected '" + expected + "'");
+        }
+    }
+    for (std::size_t column = 0; column < first_minute_; ++column) {
+        const std::string_view field = fields_[column];
+        if (field == "HashFunction" || field == "name")
+            name_column_ = column;
+        else if (field == "memory_mb")
+            memory_column_ = column;
+        else if (field == "avg_exec_ms")
+            exec_column_ = column;
+    }
 }
 
 TimeMs
@@ -126,58 +166,46 @@ AzureCsvRowStream::fieldToInt(std::size_t column, const char *what) const
     return value;
 }
 
+std::int64_t
+AzureCsvRowStream::hintAt(std::size_t column, const char *what) const
+{
+    if (column == kNoColumn || fields_[column].empty())
+        return 0;
+    const std::int64_t value = fieldToInt(column, what);
+    if (value < 0)
+        failAt(column, std::string("negative ") + what);
+    return value;
+}
+
 bool
 AzureCsvRowStream::next(FunctionRow &row)
 {
-    if (!header_skipped_ && options_.has_header) {
-        header_skipped_ = true;
-        if (!nextLine())
-            fatal(source_name_, " is empty");
-    }
-    if (options_.max_functions > 0 &&
-        rows_read_ >= options_.max_functions) {
-        return false;
-    }
     if (!nextLine())
         return false;
 
     splitFields();
-    if (fields_.size() <= options_.metadata_columns) {
+    if (fields_.size() <= first_minute_) {
         fatal(source_name_, " line ", line_no_, ": row ",
               rows_read_ + 1, " has no invocation columns");
     }
-    const std::size_t counts = fields_.size() - options_.metadata_columns;
-    if (minute_columns_ == 0) {
-        minute_columns_ = counts;
-    } else if (counts != minute_columns_) {
+    const std::size_t counts = fields_.size() - first_minute_;
+    if (counts != minute_columns_) {
         fatal(source_name_, " line ", line_no_, ": row ",
               rows_read_ + 1, " has ", counts,
               " minute columns, expected ", minute_columns_);
     }
 
     row.id = static_cast<FunctionId>(rows_read_);
-    row.name = options_.metadata_columns > 0 ? fields_[0]
-                                             : std::string_view("fn");
+    row.name = name_column_ != kNoColumn ? fields_[name_column_]
+                                         : std::string_view();
     row.cls = FunctionClass::Unknown;
-    row.memory_mb = options_.default_memory_mb;
-    row.avg_exec_ms = options_.default_exec_ms;
-    // Optional numeric metadata: col 1 = memory MB, col 2 = avg
-    // execution ms (the layout writeAzureCsv produces). 0 means
-    // unknown (the profile matcher substitutes its defaults).
-    if (options_.metadata_columns >= 2 && !fields_[1].empty()) {
-        row.memory_mb = fieldToInt(1, "memory column value");
-        if (row.memory_mb < 0)
-            failAt(1, "negative memory column value");
-    }
-    if (options_.metadata_columns >= 3 && !fields_[2].empty()) {
-        row.avg_exec_ms = fieldToInt(2, "exec-time column value");
-        if (row.avg_exec_ms < 0)
-            failAt(2, "negative exec-time column value");
-    }
+    // 0 means unknown (the profile matcher substitutes its defaults).
+    row.memory_mb = hintAt(memory_column_, "memory column value");
+    row.avg_exec_ms = hintAt(exec_column_, "exec-time column value");
 
     counts_.resize(minute_columns_);
     for (std::size_t i = 0; i < minute_columns_; ++i) {
-        const std::size_t column = options_.metadata_columns + i;
+        const std::size_t column = first_minute_ + i;
         const std::int64_t count =
             fieldToInt(column, "invocation count");
         if (count < 0)

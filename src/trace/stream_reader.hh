@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "trace/azure_loader.hh"
 #include "trace/trace.hh"
 
 namespace iceb::trace
@@ -67,38 +66,49 @@ class FunctionRowSource
 /**
  * Chunked reader for the Azure invocation-counts CSV schema. It reads
  * the RFC-4180-style quoting that common/csv.hh's CsvWriter emits and
- * tolerates CRLF line ends, parsing through a fixed-size buffer with
- * zero steady-state allocations and emitting one FunctionRow per data
- * row.
+ * tolerates CRLF line ends, parsing through a fixed 256 KiB buffer
+ * with zero steady-state allocations and emitting one FunctionRow per
+ * data row.
+ *
+ * The header row decides the layout. The minute columns are the
+ * header fields 1, 2, ..., N at the end of the row; every field
+ * before them is metadata. A `HashFunction` or `name` column names
+ * the function, `memory_mb` and `avg_exec_ms` carry the resource
+ * hints, and any other metadata column (the published trace's
+ * `HashOwner`, `HashApp` and `Trigger`) is skipped. A hint whose
+ * column is missing or whose field is empty reads as 0, meaning
+ * unknown. So both the published invocations files and the layout
+ * writeAzureCsv produces load as they are.
  */
 class AzureCsvRowStream final : public FunctionRowSource
 {
   public:
     /**
-     * @param in      Stream to parse; must outlive the reader.
-     * @param options Same knobs as loadAzureCsv (header, metadata
-     *                columns, defaults, max_functions).
-     * @param source_name Name used in error messages (file path for
-     *                loadAzureCsvFile; "Azure CSV" for bare streams).
-     * @param buffer_bytes Size of the fixed read buffer.
+     * Reads the header row; fatal() if it is missing or has no
+     * minute columns.
+     * @param in          Stream to parse; must outlive the reader.
+     * @param source_name Name used in error messages (the file path
+     *                    for loadAzureCsvFile).
      */
     explicit AzureCsvRowStream(std::istream &in,
-                               AzureLoadOptions options = {},
-                               std::string source_name = "Azure CSV",
-                               std::size_t buffer_bytes = 256 * 1024);
+                               std::string source_name = "Azure CSV");
 
     TimeMs intervalMs() const override;
     bool next(FunctionRow &row) override;
 
   private:
+    static constexpr std::size_t kNoColumn = ~std::size_t{0};
+
+    void readHeader();
     bool nextLine();
     void splitFields();
     [[noreturn]] void failAt(std::size_t column,
                              const std::string &message) const;
     std::int64_t fieldToInt(std::size_t column, const char *what) const;
+    /** The hint in @p column, or 0 if the column or field is empty. */
+    std::int64_t hintAt(std::size_t column, const char *what) const;
 
     std::istream &in_;
-    AzureLoadOptions options_;
     std::string source_name_;
 
     std::vector<char> buffer_; //!< fixed-size read chunk
@@ -112,8 +122,13 @@ class AzureCsvRowStream final : public FunctionRowSource
 
     std::size_t line_no_ = 0;
     std::size_t rows_read_ = 0;
-    std::size_t minute_columns_ = 0; //!< fixed by the first data row
-    bool header_skipped_ = false;
+
+    // The layout, read from the header row.
+    std::size_t name_column_ = kNoColumn;
+    std::size_t memory_column_ = kNoColumn;
+    std::size_t exec_column_ = kNoColumn;
+    std::size_t first_minute_ = 0;   //!< column of minute 1
+    std::size_t minute_columns_ = 0; //!< N
 };
 
 } // namespace iceb::trace

@@ -15,6 +15,13 @@ namespace iceb::trace
 namespace
 {
 
+// Burst concurrency amplitude range (log-uniform).
+constexpr double kMinLevel = 1.0;
+constexpr double kMaxLevel = 8.0;
+
+// Gaussian noise on burst amplitudes, as a fraction of the level.
+constexpr double kNoiseFraction = 0.10;
+
 /** Clamp-and-round a real-valued concurrency sample to a count. */
 std::uint32_t
 toCount(double value)
@@ -117,7 +124,7 @@ SyntheticTraceGenerator::nextBatch(Cursor &cursor,
 Trace
 SyntheticTraceGenerator::generate() const
 {
-    Trace trace(config_.num_intervals, config_.interval_ms);
+    Trace trace(config_.num_intervals, kMsPerMinute);
     Cursor cursor = startCursor();
     std::vector<FunctionSeries> batch;
     while (nextBatch(cursor, batch)) {
@@ -188,9 +195,9 @@ SyntheticTraceGenerator::makeSeriesInto(FunctionClass cls, Rng rng,
 
     // Log-uniform burst amplitude: most functions invoke with small
     // concurrency, a few with large (Azure-trace-like skew).
-    const double level = std::exp(rng.uniform(
-        std::log(config_.min_level), std::log(config_.max_level)));
-    const double noise_sd = config_.noise_fraction * level;
+    const double level =
+        std::exp(rng.uniform(std::log(kMinLevel), std::log(kMaxLevel)));
+    const double noise_sd = kNoiseFraction * level;
 
     const auto draw_train = [&](double amplitude) {
         BurstTrain train;
@@ -294,7 +301,7 @@ SyntheticTraceGenerator::makeSeriesInto(FunctionClass cls, Rng rng,
       case FunctionClass::Infrequent: {
         // Roughly once a day at a jittered preferred minute.
         const std::size_t day = static_cast<std::size_t>(
-            24 * kMsPerHour / config_.interval_ms);
+            24 * kMsPerHour / kMsPerMinute);
         const std::size_t preferred = static_cast<std::size_t>(
             rng.uniformInt(0, static_cast<std::int64_t>(
                                   std::min(day, n) - 1)));
@@ -329,7 +336,7 @@ SyntheticRowStream::SyntheticRowStream(SyntheticConfig config)
 TimeMs
 SyntheticRowStream::intervalMs() const
 {
-    return generator_.config().interval_ms;
+    return kMsPerMinute;
 }
 
 bool

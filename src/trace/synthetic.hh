@@ -31,12 +31,16 @@
 namespace iceb::trace
 {
 
-/** Knobs for the synthetic generator; defaults mirror DESIGN.md. */
+/**
+ * Knobs for the synthetic generator; defaults mirror DESIGN.md.
+ * Intervals are one minute long, like the Azure trace's; the burst
+ * amplitude range (1 to 8, log-uniform) and the amplitude noise (10%
+ * of the level) are constants in synthetic.cc.
+ */
 struct SyntheticConfig
 {
     std::size_t num_functions = 400;
     std::size_t num_intervals = 2880; //!< 48 hours of 1-minute slots
-    TimeMs interval_ms = 60'000;
     std::uint64_t seed = 0x1CEB'5EEDull;
 
     // Class mix (fractions of num_functions; remainder -> Periodic).
@@ -45,10 +49,6 @@ struct SyntheticConfig
     double frac_spiky = 0.08;
     double frac_infrequent = 0.10;
     double frac_random = 0.02; //!< Fig. 4(a): ~98% periodic overall
-
-    // Burst concurrency amplitude range (log-uniform).
-    double min_level = 1.0;
-    double max_level = 8.0;
 
     // Burst-train period range in intervals (minutes, log-uniform).
     // Most functions repeat within the hour, like the Azure trace;
@@ -60,9 +60,6 @@ struct SyntheticConfig
     // their extra harmonics (Fig. 5a), in intervals.
     double min_mod_period = 120.0;
     double max_mod_period = 720.0;
-
-    // Gaussian noise applied to burst amplitudes.
-    double noise_fraction = 0.10;
 
     // Resource hint distributions (match the profile pool's spread).
     // Execution times skew short, like the Azure trace (median well

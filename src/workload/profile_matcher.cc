@@ -8,8 +8,7 @@
 namespace iceb::workload
 {
 
-ProfileMatcher::ProfileMatcher(const BenchmarkSuite &suite, MatchMode mode)
-    : suite_(suite), mode_(mode)
+ProfileMatcher::ProfileMatcher(const BenchmarkSuite &suite) : suite_(suite)
 {
 }
 
@@ -57,13 +56,11 @@ ProfileMatcher::profileFor(const std::string &name, MemoryMb memory_mb,
     out.name = name.empty()
         ? base.name
         : name + " (" + base.name + ")";
-    if (mode_ == MatchMode::ProfileOnly)
-        return out;
 
-    // ScaleToTrace: pin high-end execution to the trace hint, keep the
-    // benchmark's low/high execution ratio, keep cold starts (they are
-    // dominated by container/image setup, not function speed), and
-    // adopt the trace's memory allocation.
+    // Pin high-end execution to the trace hint, keep the benchmark's
+    // low/high execution ratio, keep cold starts (they are dominated
+    // by container/image setup, not function speed), and adopt the
+    // trace's memory allocation.
     const double exec_scale = static_cast<double>(exec) /
         static_cast<double>(base.execMs(Tier::HighEnd));
     out.memory_mb = mem;

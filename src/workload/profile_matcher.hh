@@ -21,31 +21,16 @@
 namespace iceb::workload
 {
 
-/** How matched profiles are adapted to the trace's resource hints. */
-enum class MatchMode
-{
-    /**
-     * Use the matched benchmark's numbers verbatim (exactly what the
-     * paper's real-system setup does: the benchmark binary runs).
-     */
-    ProfileOnly,
-
-    /**
-     * Keep the benchmark's tier ratios and cold-start behaviour but
-     * scale execution time and memory to the trace's hints, widening
-     * workload diversity beyond the pool size.
-     */
-    ScaleToTrace,
-};
-
 /**
- * Matches trace functions to benchmark profiles.
+ * Matches trace functions to benchmark profiles. A matched profile
+ * keeps the benchmark's tier ratios and cold-start behaviour but is
+ * scaled to the trace's execution-time and memory hints, which widens
+ * workload diversity beyond the pool size.
  */
 class ProfileMatcher
 {
   public:
-    ProfileMatcher(const BenchmarkSuite &suite,
-                   MatchMode mode = MatchMode::ScaleToTrace);
+    explicit ProfileMatcher(const BenchmarkSuite &suite);
 
     /**
      * Nearest-profile index for the given resource hints, by L2
@@ -54,7 +39,10 @@ class ProfileMatcher
      */
     std::size_t matchIndex(MemoryMb memory_mb, TimeMs exec_ms) const;
 
-    /** Materialised profile for one trace function. */
+    /**
+     * Materialised profile for one trace function. A hint of 0 means
+     * unknown and matches as 256 MB or 1000 ms.
+     */
     FunctionProfile profileFor(const trace::FunctionSeries &fn) const;
 
     /**
@@ -70,7 +58,6 @@ class ProfileMatcher
 
   private:
     const BenchmarkSuite &suite_;
-    MatchMode mode_;
 };
 
 } // namespace iceb::workload

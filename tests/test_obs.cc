@@ -90,19 +90,17 @@ TEST(TraceSinkTest, CapacityRoundsUpToPowerOfTwo)
 TEST(TraceSinkTest, MacroIsInertWithoutSink)
 {
     obs::TraceSink *sink = nullptr;
-    // Argument expressions must not be evaluated into a crash; with a
-    // null sink the macro is a single branch.
-    ICEB_TRACE(sink, obs::TraceKind::Arrival, 1, 0, Tier::HighEnd,
-               obs::ColdCause::None, 0);
+    // With a null sink the macro is a single branch: its argument
+    // expressions are not evaluated.
+    int evaluated = 0;
+    ICEB_TRACE(sink, obs::TraceKind::Arrival, (++evaluated, 1), 0,
+               Tier::HighEnd, obs::ColdCause::None, 0);
+    EXPECT_EQ(evaluated, 0);
     obs::TraceSink real(4);
     sink = &real;
     ICEB_TRACE(sink, obs::TraceKind::Arrival, 1, 0, Tier::HighEnd,
                obs::ColdCause::None, 0);
-#if ICEB_OBS_TRACING
     EXPECT_EQ(real.recorded(), 1u);
-#else
-    EXPECT_EQ(real.recorded(), 0u);
-#endif
 }
 
 TEST(ChromeTraceTest, ExportStructure)
@@ -332,7 +330,6 @@ TEST(ObsSimulationTest, RecorderDoesNotPerturbMetricsAndAgrees)
 
     const obs::TraceSink *sink = recorder.traceSinkIfEnabled();
     ASSERT_NE(sink, nullptr);
-#if ICEB_OBS_TRACING
     EXPECT_GT(sink->recorded(), 0u);
     // The trace's per-kind counters agree with the metrics.
     EXPECT_EQ(sink->count(obs::TraceKind::Arrival),
@@ -343,11 +340,9 @@ TEST(ObsSimulationTest, RecorderDoesNotPerturbMetricsAndAgrees)
               traced.warm_starts);
     EXPECT_EQ(sink->count(obs::TraceKind::IntervalStart),
               workload.trace.numIntervals());
-#endif
     const obs::ProbeTable *probes = recorder.probeTableIfEnabled();
     ASSERT_NE(probes, nullptr);
-    // One interval sample per decision boundary, regardless of the
-    // tracing compile switch (probes are plain calls, not macros).
+    // One interval sample per decision boundary.
     EXPECT_EQ(probes->intervalSampleCount(),
               workload.trace.numIntervals());
 }

@@ -428,9 +428,7 @@ TEST(HybridHistogramTest, WideWindowIsRejected)
 
 TEST(HybridHistogramTest, OutOfBoundsGapsBreakRepresentativeness)
 {
-    HybridHistogramConfig config;
-    config.max_idle_minutes = 60;
-    HybridHistogram h(config);
+    HybridHistogram h;
     for (int i = 0; i < 20; ++i)
         h.observeArrival(i * 500); // 500-minute gaps, all OOB
     EXPECT_FALSE(h.representative());
@@ -438,27 +436,27 @@ TEST(HybridHistogramTest, OutOfBoundsGapsBreakRepresentativeness)
 
 TEST(HybridHistogramTest, ArimaFallbackCentresWindowOnForecast)
 {
-    // Every gap lies past the 60-minute range, so the histogram is not
-    // representative and the window is centred on the ARIMA forecast
-    // of the next gap: the same forecast a standalone predictor with
-    // the fallback's configuration makes from the same gaps.
-    HybridHistogramConfig config;
-    config.max_idle_minutes = 60;
-    HybridHistogram h(config);
+    // Every gap lies past the 240-minute range, so the histogram is
+    // not representative and the window is centred on the ARIMA
+    // forecast of the next gap: the same forecast a standalone
+    // predictor with the fallback's configuration makes from the same
+    // gaps.
+    static_assert(HybridHistogram::kMaxIdleMinutes < 290);
+    HybridHistogram h;
     ArimaPredictor arima(
         ArimaConfig{.p = 2, .q = 1, .window = 64, .refit_every = 1});
     iceb::IntervalIndex t = 0;
     h.observeArrival(t);
     for (int i = 0; i < 40; ++i) {
-        const iceb::IntervalIndex gap = 90 + 10 * (i % 3);
+        const iceb::IntervalIndex gap = 290 + 10 * (i % 3);
         t += gap;
         h.observeArrival(t);
         arima.observe(static_cast<double>(gap));
     }
     ASSERT_FALSE(h.representative());
     const double p = arima.predictNext();
-    EXPECT_GE(p, 90.0);
-    EXPECT_LE(p, 110.0);
+    EXPECT_GE(p, 290.0);
+    EXPECT_LE(p, 310.0);
     const IdleWindowForecast f = h.forecast();
     ASSERT_TRUE(f.usable);
     EXPECT_EQ(f.head_minutes, 0.85 * p);

@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <string_view>
 
+#include "common/rng.hh"
 #include "trace/azure_loader.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace.hh"
@@ -332,7 +338,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AzureLoaderTest, ParsesSchema)
 {
     std::istringstream in(
-        "name,memory_mb,avg_exec_ms,m1,m2,m3\n"
+        "name,memory_mb,avg_exec_ms,1,2,3\n"
         "fnA,256,700,0,2,1\n"
         "fnB,512,1200,3,0,0\n");
     const Trace trace = loadAzureCsv(in);
@@ -346,15 +352,27 @@ TEST(AzureLoaderTest, ParsesSchema)
     EXPECT_EQ(trace.function(1).at(0), 3u);
 }
 
-TEST(AzureLoaderTest, MaxFunctionsCap)
+TEST(AzureLoaderTest, ParsesPublishedLayout)
 {
+    // The published invocations files lead with four metadata columns
+    // and carry no resource hints: HashFunction names the function,
+    // the other metadata is skipped, and both hints read as unknown.
     std::istringstream in(
-        "name,memory_mb,avg_exec_ms,m1\n"
-        "a,1,1,1\nb,1,1,1\nc,1,1,1\n");
-    AzureLoadOptions options;
-    options.max_functions = 2;
-    const Trace trace = loadAzureCsv(in, options);
-    EXPECT_EQ(trace.numFunctions(), 2u);
+        "HashOwner,HashApp,HashFunction,Trigger,1,2,3\n"
+        "a000f1,b000e2,c000d3,http,0,4,1\n"
+        "a000f1,b000e2,c000d4,timer,1,0,0\n");
+    const Trace trace = loadAzureCsv(in);
+    ASSERT_EQ(trace.numFunctions(), 2u);
+    EXPECT_EQ(trace.numIntervals(), 3u);
+    EXPECT_EQ(trace.intervalMs(), 60'000);
+    EXPECT_EQ(trace.function(0).name, "c000d3");
+    EXPECT_EQ(trace.function(1).name, "c000d4");
+    EXPECT_EQ(trace.function(0).memory_mb, 0);
+    EXPECT_EQ(trace.function(0).avg_exec_ms, 0);
+    EXPECT_EQ(trace.function(0).concurrency,
+              (std::vector<std::uint32_t>{0, 4, 1}));
+    EXPECT_EQ(trace.function(1).concurrency,
+              (std::vector<std::uint32_t>{1, 0, 0}));
 }
 
 TEST(AzureLoaderTest, RoundTripThroughWriter)
@@ -379,23 +397,22 @@ TEST(AzureLoaderTest, RoundTripThroughWriter)
 TEST(AzureLoaderTest, ParsesQuotedFieldsCrlfAndEmptyMetadata)
 {
     // The quoted name holds a comma and an escaped quote; empty
-    // memory and exec columns take the loader's defaults.
+    // memory and exec fields read as 0, meaning unknown.
     std::istringstream in(
-        "name,memory_mb,avg_exec_ms,m1,m2\r\n"
+        "name,memory_mb,avg_exec_ms,1,2\r\n"
         "\"fn, \"\"A\"\"\",,,4,0\r\n"
         "fnB,256,,1,2\r\n");
-    const AzureLoadOptions options;
-    const Trace trace = loadAzureCsv(in, options);
+    const Trace trace = loadAzureCsv(in);
     ASSERT_EQ(trace.numFunctions(), 2u);
     EXPECT_EQ(trace.numIntervals(), 2u);
     EXPECT_EQ(trace.function(0).name, "fn, \"A\"");
-    EXPECT_EQ(trace.function(0).memory_mb, options.default_memory_mb);
-    EXPECT_EQ(trace.function(0).avg_exec_ms, options.default_exec_ms);
+    EXPECT_EQ(trace.function(0).memory_mb, 0);
+    EXPECT_EQ(trace.function(0).avg_exec_ms, 0);
     EXPECT_EQ(trace.function(0).concurrency,
               (std::vector<std::uint32_t>{4, 0}));
     EXPECT_EQ(trace.function(1).name, "fnB");
     EXPECT_EQ(trace.function(1).memory_mb, 256);
-    EXPECT_EQ(trace.function(1).avg_exec_ms, options.default_exec_ms);
+    EXPECT_EQ(trace.function(1).avg_exec_ms, 0);
     EXPECT_EQ(trace.function(1).concurrency,
               (std::vector<std::uint32_t>{1, 2}));
 }
@@ -418,10 +435,39 @@ TEST(AzureLoaderTest, RoundTripsNameThatNeedsQuoting)
               original.function(0).concurrency);
 }
 
+TEST(AzureLoaderDeathTest, RejectsHeaderWithoutMinuteColumns)
+{
+    std::istringstream named(
+        "name,memory_mb,avg_exec_ms,m1,m2\n"
+        "a,1,1,1,2\n");
+    EXPECT_EXIT(loadAzureCsv(named), ::testing::ExitedWithCode(1),
+                "line 1, column 6: header has no minute columns");
+    std::istringstream empty("");
+    EXPECT_EXIT(loadAzureCsv(empty), ::testing::ExitedWithCode(1),
+                "Azure CSV is empty");
+}
+
+TEST(AzureLoaderDeathTest, RejectsMinuteColumnOutOfSequence)
+{
+    // Every field after minute 1 must be the next minute.
+    std::istringstream gap(
+        "name,1,2,4\n"
+        "a,1,2,3\n");
+    EXPECT_EXIT(loadAzureCsv(gap), ::testing::ExitedWithCode(1),
+                "line 1, column 4: minute column '4' out of sequence, "
+                "expected '3'");
+    std::istringstream trailing(
+        "1,2,memory_mb\n"
+        "1,2,3\n");
+    EXPECT_EXIT(loadAzureCsv(trailing), ::testing::ExitedWithCode(1),
+                "line 1, column 3: minute column 'memory_mb' out of "
+                "sequence");
+}
+
 TEST(AzureLoaderDeathTest, RejectsMalformedRows)
 {
     std::istringstream in(
-        "name,memory_mb,avg_exec_ms,m1,m2\n"
+        "name,memory_mb,avg_exec_ms,1,2\n"
         "a,1,1,1,2\n"
         "b,1,1,1\n"); // second row is one minute column short
     EXPECT_EXIT(loadAzureCsv(in), ::testing::ExitedWithCode(1),
@@ -431,40 +477,116 @@ TEST(AzureLoaderDeathTest, RejectsMalformedRows)
 TEST(AzureLoaderDeathTest, RejectsNegativeCounts)
 {
     std::istringstream in(
-        "name,memory_mb,avg_exec_ms,m1\n"
+        "name,memory_mb,avg_exec_ms,1\n"
         "a,1,1,-4\n");
     EXPECT_EXIT(loadAzureCsv(in), ::testing::ExitedWithCode(1),
                 "negative");
     // Counts are 32-bit: one past the largest is refused rather than
     // wrapped to 0, and the largest itself loads.
     std::istringstream wide(
-        "name,memory_mb,avg_exec_ms,m1\n"
+        "name,memory_mb,avg_exec_ms,1\n"
         "a,1,1,4294967296\n");
     EXPECT_EXIT(loadAzureCsv(wide), ::testing::ExitedWithCode(1),
                 "line 2, column 4: invocation count 4294967296 above");
     std::istringstream largest(
-        "name,memory_mb,avg_exec_ms,m1\n"
+        "name,memory_mb,avg_exec_ms,1\n"
         "a,1,1,4294967295\n");
     EXPECT_EQ(loadAzureCsv(largest).function(0).concurrency[0],
               4294967295u);
     // The memory and exec-time metadata are refused the same way; 0
     // still loads, meaning "unknown".
     std::istringstream memory(
-        "name,memory_mb,avg_exec_ms,m1,m2\n"
+        "name,memory_mb,avg_exec_ms,1,2\n"
         "a,-512,-3,1,2\n");
     EXPECT_EXIT(loadAzureCsv(memory), ::testing::ExitedWithCode(1),
                 "line 2, column 2: negative memory column value");
     std::istringstream exec(
-        "name,memory_mb,avg_exec_ms,m1\n"
+        "name,memory_mb,avg_exec_ms,1\n"
         "a,128,-3,1\n");
     EXPECT_EXIT(loadAzureCsv(exec), ::testing::ExitedWithCode(1),
                 "line 2, column 3: negative exec-time column value");
     std::istringstream unknown(
-        "name,memory_mb,avg_exec_ms,m1\n"
+        "name,memory_mb,avg_exec_ms,1\n"
         "a,0,0,1\n");
     const Trace trace = loadAzureCsv(unknown);
     EXPECT_EQ(trace.function(0).memory_mb, 0);
     EXPECT_EQ(trace.function(0).avg_exec_ms, 0);
+}
+
+TEST(AzureLoaderDeathTest, MutatedInputLoadsOrIsRefused)
+{
+    // Seeded byte mutations of both layouts. Each case runs in a
+    // death-test child: it either loads, printing a marker and
+    // exiting 0, or is refused by fatal(), whose exit 1 and message
+    // name the source. The message is matched as well as the code, so
+    // a sanitizer report (which also exits 1) or a crash fails.
+    Trace small(8, 60'000);
+    small.addFunction(makeSeries({0, 3, 1, 0, 0, 12, 1, 0}));
+    FunctionSeries quoted = makeSeries({1, 0, 0, 2, 0, 0, 7, 0});
+    quoted.name = "app \"x\", handler";
+    small.addFunction(std::move(quoted));
+    std::ostringstream writer_layout;
+    writeAzureCsv(writer_layout, small);
+    const std::string bases[] = {
+        writer_layout.str(),
+        "HashOwner,HashApp,HashFunction,Trigger,1,2,3,4,5,6,7,8\r\n"
+        "a0f1,b0e2,c0d3,http,0,4,1,0,0,0,9,0\r\n"
+        "a0f1,b0e2,c0d4,timer,1,0,0,0,1,0,0,0\r\n",
+    };
+    constexpr std::string_view kAlphabet = ",\"\r\n-0123456789azAZ";
+    const auto draw = [](Rng &rng, std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    };
+
+    std::size_t loaded = 0;
+    std::size_t refused = 0;
+    const auto loads_or_refuses = [&](int status) {
+        if (!WIFEXITED(status))
+            return false;
+        const int code = WEXITSTATUS(status);
+        ++(code == 0 ? loaded : refused);
+        return code == 0 || code == 1;
+    };
+
+    Rng rng(0xC5F0'22ull);
+    for (const std::string &base : bases) {
+        {
+            std::istringstream in(base);
+            ASSERT_EQ(loadAzureCsv(in).numFunctions(), 2u);
+        }
+        for (int c = 0; c < 200; ++c) {
+            std::string text = base;
+            const std::size_t edits = draw(rng, 4) + 1;
+            for (std::size_t e = 0; e < edits; ++e) {
+                const char byte = kAlphabet[draw(rng, kAlphabet.size())];
+                switch (draw(rng, 3)) {
+                  case 0:
+                    text[draw(rng, text.size())] = byte;
+                    break;
+                  case 1:
+                    text.erase(draw(rng, text.size()), 1);
+                    break;
+                  default:
+                    text.insert(draw(rng, text.size() + 1), 1, byte);
+                    break;
+                }
+            }
+            const auto load = [&text] {
+                std::istringstream in(text);
+                (void)loadAzureCsv(in);
+                std::fputs("mutated CSV loaded\n", stderr);
+                std::_Exit(0);
+            };
+            EXPECT_EXIT(load(), loads_or_refuses,
+                        "mutated CSV loaded|fatal: Azure CSV")
+                << "case " << c << ":\n" << text;
+        }
+    }
+    // Both outcomes occur: the edits are neither all refused nor all
+    // harmless.
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 // ------------------------------------------------------------ TraceStats

@@ -317,7 +317,7 @@ TEST(TraceSourceTest, CsvStreamMatchesMaterializedLoader)
 TEST(AzureCsvStreamDeathTest, ReportsLineAndColumnOfBadCount)
 {
     std::istringstream in(
-        "name,memory_mb,avg_exec_ms,m1,m2\n"
+        "name,memory_mb,avg_exec_ms,1,2\n"
         "a,256,900,1,2\n"
         "b,256,900,-4,1\n");
     trace::AzureCsvRowStream rows(in);
@@ -330,7 +330,7 @@ TEST(AzureCsvStreamDeathTest, ReportsLineAndColumnOfBadCount)
 TEST(AzureCsvStreamDeathTest, ReportsLineOfShortRow)
 {
     std::istringstream in(
-        "name,memory_mb,avg_exec_ms,m1,m2\n"
+        "name,memory_mb,avg_exec_ms,1,2\n"
         "a,256,900,1,2\n"
         "b,256,900,1\n");
     trace::AzureCsvRowStream rows(in);
@@ -414,8 +414,7 @@ TEST(SebsSuiteTest, AzureScalePresetSpansTheSebsPool)
     const trace::SyntheticConfig config = trace::azureScaleConfig(512, 60);
     const workload::BenchmarkSuite suite =
         workload::BenchmarkSuite::sebs();
-    const workload::ProfileMatcher matcher(
-        suite, workload::MatchMode::ProfileOnly);
+    const workload::ProfileMatcher matcher(suite);
     const trace::Trace tr =
         trace::SyntheticTraceGenerator(config).generate();
 

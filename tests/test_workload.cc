@@ -108,7 +108,7 @@ TEST(SuiteDeathTest, IndexOutOfRangePanics)
 TEST(MatcherTest, ExactHintsPickThatProfile)
 {
     const BenchmarkSuite suite = BenchmarkSuite::standard();
-    const ProfileMatcher matcher(suite, MatchMode::ProfileOnly);
+    const ProfileMatcher matcher(suite);
     const FunctionProfile &target =
         suite.profileByName("web/auth-check");
     const std::size_t index = matcher.matchIndex(
@@ -116,23 +116,10 @@ TEST(MatcherTest, ExactHintsPickThatProfile)
     EXPECT_EQ(suite.profile(index).name, "web/auth-check");
 }
 
-TEST(MatcherTest, ProfileOnlyUsesBenchmarkNumbers)
-{
-    const BenchmarkSuite suite = BenchmarkSuite::standard();
-    const ProfileMatcher matcher(suite, MatchMode::ProfileOnly);
-    trace::FunctionSeries fn;
-    fn.name = "synthetic";
-    fn.memory_mb = 130; // close to auth-check's 128
-    fn.avg_exec_ms = 100;
-    const FunctionProfile p = matcher.profileFor(fn);
-    EXPECT_EQ(p.memory_mb, 128);
-    EXPECT_EQ(p.execMs(Tier::HighEnd), 100);
-}
-
 TEST(MatcherTest, ScaleToTracePinsExecAndMemory)
 {
     const BenchmarkSuite suite = BenchmarkSuite::standard();
-    const ProfileMatcher matcher(suite, MatchMode::ScaleToTrace);
+    const ProfileMatcher matcher(suite);
     trace::FunctionSeries fn;
     fn.name = "synthetic";
     fn.memory_mb = 333;
